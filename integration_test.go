@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/population"
 	"repro/internal/ppdb"
 	"repro/internal/privacy"
+	"repro/internal/query"
 	"repro/internal/relational"
 )
 
@@ -39,7 +41,7 @@ func TestCorpusFilesParse(t *testing.T) {
 }
 
 // TestEndToEndLifecycle drives the full pipeline: parse a corpus, stand up a
-// PPDB, serve purpose-bound queries, certify, widen the policy, watch
+// PPDB, serve per-datum enforced queries, certify, widen the policy, watch
 // violations and defaults appear, enforce the defaults, and re-certify.
 func TestEndToEndLifecycle(t *testing.T) {
 	src, err := os.ReadFile("examples/corpus/clinic.dsl")
@@ -91,7 +93,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	// Care query at house class sees exact data. The corpus policy does not
 	// cover the provider-identity column, so the query touches only the
 	// governed attributes.
-	res, err := db.Query(ppdb.AccessRequest{
+	res, err := db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "dr", Purpose: "care", Visibility: 2,
 		SQL: "SELECT condition, weight FROM records ORDER BY weight",
 	})
@@ -105,19 +107,20 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Errorf("care weight = %v", res.Rows[0][1])
 	}
 	// Identity reads are refused: the policy does not cover "provider".
-	if _, err := db.Query(ppdb.AccessRequest{
+	var denied *query.DeniedError
+	if _, err := db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "dr", Purpose: "care", Visibility: 2,
 		SQL: "SELECT provider FROM records",
-	}); err == nil {
-		t.Fatal("uncovered identity column must be denied")
+	}); !errors.As(err, &denied) {
+		t.Fatalf("uncovered identity column must be denied, got %v", err)
 	}
 
 	// Research on weight is not in the corpus policy → denied.
-	if _, err := db.Query(ppdb.AccessRequest{
+	if _, err := db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "lab", Purpose: "research", Visibility: 3,
 		SQL: "SELECT weight FROM records",
-	}); err == nil {
-		t.Fatal("research on weight must be denied")
+	}); !errors.As(err, &denied) {
+		t.Fatalf("research on weight must be denied, got %v", err)
 	}
 
 	// Certification: omar never consented to research on condition →

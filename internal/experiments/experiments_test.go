@@ -83,11 +83,14 @@ func TestFigure2(t *testing.T) {
 			t.Errorf("Figure 2 output missing %q", want)
 		}
 	}
-	// t2's strict preferences must register a violation against the wider
-	// house policy, and the partial-granularity degradation must show a
-	// range for weight.
-	if !strings.Contains(out, "[") {
-		t.Error("expected generalized weight ranges in the research view")
+	// T at the research policy tuple's granularity: age and weight both
+	// degrade to 'partial' ranges, the provider key stays exact.
+	wantT := "provider  age      weight \n" +
+		"--------  -------  -------\n" +
+		"t1        [30-40)  [60-65)\n" +
+		"t2        [50-60)  [90-95)\n"
+	if !strings.Contains(out, wantT) {
+		t.Errorf("Figure 2 T block = \n%s\nwant\n%s", out, wantT)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/generalize"
 	"repro/internal/policydsl"
 	"repro/internal/ppdb"
+	"repro/internal/privacy"
 	"repro/internal/relational"
 )
 
@@ -67,10 +68,11 @@ provider "t2" threshold 5 {
 	if err != nil {
 		return err
 	}
+	hier := map[string]generalize.Hierarchy{"weight": weightH, "age": ageH}
 	db, err := ppdb.New(ppdb.Config{
 		Policy:      doc.Policy,
 		AttrSens:    doc.AttrSens,
-		Hierarchies: map[string]generalize.Hierarchy{"weight": weightH, "age": ageH},
+		Hierarchies: hier,
 	})
 	if err != nil {
 		return err
@@ -101,24 +103,38 @@ provider "t2" threshold 5 {
 	fmt.Fprintln(w, "Figure 2 — notation walk-through on a live PPDB")
 	fmt.Fprintln(w)
 
-	// The data table T.
-	res, err := db.Query(ppdb.AccessRequest{
-		Requester: "figure2", Purpose: "research", Visibility: 2,
-		SQL: "SELECT provider, age, weight FROM t ORDER BY provider",
-	})
-	if err != nil {
-		return err
-	}
+	// The data table T, read back through each provider's own view and
+	// degraded cell by cell to the research policy tuple's granularity:
+	// the policy ceiling, which is what Figure 2 illustrates. (An enforced
+	// read would suppress every row, since neither provider states a
+	// preference on the provider column.)
 	fmt.Fprintln(w, "T (as seen for purpose=research by a house-class requester; weight degraded to 'partial'):")
-	rows := make([][]string, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		cells := make([]string, len(r))
-		for i, v := range r {
-			cells[i] = v.Display()
+	gmax := int(privacy.DefaultScales().Granularity.Max())
+	var cols []string
+	var rows [][]string
+	for _, name := range []string{"t1", "t2"} {
+		own, err := db.ProviderView(name)
+		if err != nil {
+			return err
 		}
-		rows = append(rows, cells)
+		for _, r := range own {
+			cols = r.Columns
+			cells := make([]string, len(r.Values))
+			for i, v := range r.Values {
+				tup, ok := doc.Policy.Find(r.Columns[i], "research")
+				if !ok {
+					return fmt.Errorf("figure2: no research tuple for %q", r.Columns[i])
+				}
+				h, ok := hier[r.Columns[i]]
+				if !ok {
+					h = generalize.SuppressionHierarchy{}
+				}
+				cells[i] = h.Generalize(v, generalize.LevelFor(h, int(tup.Granularity), gmax)).Display()
+			}
+			rows = append(rows, cells)
+		}
 	}
-	if err := WriteTable(w, res.Columns, rows); err != nil {
+	if err := WriteTable(w, cols, rows); err != nil {
 		return err
 	}
 

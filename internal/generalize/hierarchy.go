@@ -33,6 +33,26 @@ type Hierarchy interface {
 // Suppressed is the output of full suppression.
 var Suppressed = relational.Text("*")
 
+// LevelFor converts a granularity grant g on a scale whose maximum is gmax
+// (0 = reveal nothing … gmax = fully specific) into h's generalization
+// level (0 = exact … Levels-1 = suppressed), scaling the withheld fraction
+// proportionally and rounding toward more privacy.
+func LevelFor(h Hierarchy, g, gmax int) int {
+	if gmax <= 0 || g >= gmax {
+		return 0
+	}
+	hmax := h.Levels() - 1
+	if g <= 0 {
+		return hmax
+	}
+	withheld := float64(gmax-g) / float64(gmax)
+	lv := int(withheld*float64(hmax) + 0.999999)
+	if lv > hmax {
+		lv = hmax
+	}
+	return lv
+}
+
 // clampLevel bounds lv into [0, max].
 func clampLevel(lv, max int) int {
 	if lv < 0 {

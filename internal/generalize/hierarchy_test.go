@@ -149,6 +149,30 @@ func TestSuppressionHierarchy(t *testing.T) {
 	}
 }
 
+func TestLevelFor(t *testing.T) {
+	h, err := NewNumericHierarchy(5, 2, 2) // levels 0..3
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ g, gmax, want int }{
+		{3, 3, 0}, // fully specific → exact
+		{4, 3, 0}, // above the scale → exact
+		{2, 3, 1}, // one third withheld → rounds up to level 1
+		{1, 3, 2}, // two thirds withheld → level 2
+		{0, 3, 3}, // nothing revealed → suppressed
+		{-1, 3, 3},
+		{1, 0, 0}, // degenerate scale never generalizes
+	}
+	for _, c := range cases {
+		if got := LevelFor(h, c.g, c.gmax); got != c.want {
+			t.Errorf("LevelFor(g=%d, gmax=%d) = %d, want %d", c.g, c.gmax, got, c.want)
+		}
+	}
+	if got := LevelFor(SuppressionHierarchy{}, 2, 3); got != 1 {
+		t.Errorf("any withheld granularity suppresses on a two-level hierarchy: got %d", got)
+	}
+}
+
 func TestRoundingHierarchy(t *testing.T) {
 	h, err := NewRoundingHierarchy(5, 10, 25)
 	if err != nil {

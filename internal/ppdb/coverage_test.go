@@ -1,18 +1,21 @@
 package ppdb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/generalize"
 	"repro/internal/privacy"
+	"repro/internal/query"
 	"repro/internal/relational"
 )
 
 func TestAuditByPurpose(t *testing.T) {
 	db := clinicDB(t)
-	db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT weight FROM patients"})
-	db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT age FROM patients"})
-	db.Query(AccessRequest{Purpose: "marketing", Visibility: 2, SQL: "SELECT weight FROM patients"})
+	db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT weight FROM patients"})
+	db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT age FROM patients"})
+	db.QueryEnforced(EnforcedQuery{Purpose: "marketing", Visibility: 2, SQL: "SELECT weight FROM patients"})
 	byP := db.Audit().ByPurpose()
 	if byP["care"] != 2 || byP["marketing"] != 1 {
 		t.Errorf("ByPurpose = %v", byP)
@@ -52,10 +55,12 @@ func TestSuppressOnlyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := privacy.NewPrefs("a", 10)
+	p.Add("provider", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
+	p.Add("note", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
 	db.RegisterProvider(p)
 	db.Insert("t", "a", relational.Row{relational.Text("a"), relational.Text("secret details")})
 
-	res, err := db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT note FROM t"})
+	res, err := db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT note FROM t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +72,7 @@ func TestSuppressOnlyFallback(t *testing.T) {
 	db2.RegisterTable("t", schema, "provider")
 	db2.RegisterProvider(p.Clone(""))
 	db2.Insert("t", "a", relational.Row{relational.Text("a"), relational.Null()})
-	res, err = db2.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT note FROM t"})
+	res, err = db2.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT note FROM t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,61 +85,69 @@ func TestSuppressOnlyFallback(t *testing.T) {
 // conversion at the scale edges.
 func TestHierarchyLevelMapping(t *testing.T) {
 	db := clinicDB(t) // weight hierarchy has 4 levels (0..3)
+	h := db.hierarchyFor("weight")
+	gmax := int(db.scales.Granularity.Max())
 	// Full granularity (scale max 3) → level 0 (exact).
-	if lv := db.hierarchyLevel("weight", 3); lv != 0 {
+	if lv := generalize.LevelFor(h, 3, gmax); lv != 0 {
 		t.Errorf("g=3 → %d, want 0", lv)
 	}
 	// Zero granularity → full suppression (hierarchy max).
-	if lv := db.hierarchyLevel("weight", 0); lv != db.hierarchyFor("weight").Levels()-1 {
+	if lv := generalize.LevelFor(h, 0, gmax); lv != h.Levels()-1 {
 		t.Errorf("g=0 → %d, want max", lv)
 	}
 	// Intermediate levels are monotone: coarser policy ⇒ deeper level.
-	prev := db.hierarchyLevel("weight", 3)
-	for g := privacy.Level(2); g >= 0; g-- {
-		lv := db.hierarchyLevel("weight", g)
+	prev := generalize.LevelFor(h, 3, gmax)
+	for g := 2; g >= 0; g-- {
+		lv := generalize.LevelFor(h, g, gmax)
 		if lv < prev {
 			t.Errorf("hierarchy level decreased at g=%d", g)
 		}
 		prev = lv
 	}
+	// Attributes without a registered hierarchy fall back to suppression.
+	if _, ok := db.hierarchyFor("patient").(generalize.SuppressionHierarchy); !ok {
+		t.Errorf("patient hierarchy = %T, want the suppression fallback", db.hierarchyFor("patient"))
+	}
 }
 
-// TestQueryGroupedAggregatesGated verifies that aggregates over gated
-// attributes are policy-checked (the Agg walk of referencedAttributes).
+// TestQueryGroupedAggregatesGated verifies that aggregates and grouping are
+// refused outright (their cells mix providers) and that ORDER BY
+// references are policy-gated like projections.
 func TestQueryGroupedAggregatesGated(t *testing.T) {
 	db := clinicDB(t)
-	// AVG(weight) for research is allowed (weight has a research tuple)…
-	if _, err := db.Query(AccessRequest{
+	var unenf *query.UnenforceableError
+	if _, err := db.QueryEnforced(EnforcedQuery{
 		Purpose: "research", Visibility: 3,
 		SQL: "SELECT AVG(weight) FROM patients",
-	}); err != nil {
-		t.Errorf("research aggregate should pass: %v", err)
+	}); !errors.As(err, &unenf) {
+		t.Errorf("aggregate must be unenforceable, got %v", err)
 	}
-	// …but AVG(age) is not (no research tuple on age).
-	if _, err := db.Query(AccessRequest{
-		Purpose: "research", Visibility: 3,
-		SQL: "SELECT AVG(age) FROM patients",
-	}); err == nil {
-		t.Error("aggregate over ungoverned attribute must be denied")
-	}
-	// ORDER BY and GROUP BY references are gated too.
-	if _, err := db.Query(AccessRequest{
-		Purpose: "research", Visibility: 3,
-		SQL: "SELECT weight FROM patients ORDER BY age",
-	}); err == nil {
-		t.Error("ORDER BY attribute must be gated")
-	}
-	if _, err := db.Query(AccessRequest{
+	if _, err := db.QueryEnforced(EnforcedQuery{
 		Purpose: "research", Visibility: 3,
 		SQL: "SELECT COUNT(*) FROM patients GROUP BY age",
-	}); err == nil {
-		t.Error("GROUP BY attribute must be gated")
+	}); !errors.As(err, &unenf) {
+		t.Errorf("GROUP BY must be unenforceable, got %v", err)
+	}
+	// ORDER BY on an attribute research does not cover is denied.
+	var denied *query.DeniedError
+	if _, err := db.QueryEnforced(EnforcedQuery{
+		Purpose: "research", Visibility: 3,
+		SQL: "SELECT weight FROM patients ORDER BY age",
+	}); !errors.As(err, &denied) || denied.Attribute != "age" {
+		t.Errorf("ORDER BY attribute must be gated, got %v", err)
 	}
 }
 
+// TestDeniedErrorMessage checks that a denial names the attribute and the
+// reason, in the error and in the audit record.
 func TestDeniedErrorMessage(t *testing.T) {
-	err := &DeniedError{Attribute: "weight", Reason: "because"}
-	if !strings.Contains(err.Error(), "weight") || !strings.Contains(err.Error(), "because") {
-		t.Errorf("message = %q", err.Error())
+	db := clinicDB(t)
+	_, err := db.QueryEnforced(EnforcedQuery{Purpose: "marketing", Visibility: 2, SQL: "SELECT weight FROM patients"})
+	if err == nil || !strings.Contains(err.Error(), `"weight"`) || !strings.Contains(err.Error(), `"marketing"`) {
+		t.Fatalf("message = %v", err)
+	}
+	recs := db.Audit().Denied()
+	if len(recs) != 1 || recs[0].Reason != err.Error() {
+		t.Errorf("denied audit = %+v", recs)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/relational"
 )
 
-// Example demonstrates the enforcement loop: a purpose-bound query is served
+// Example demonstrates the enforcement loop: an enforced query is served
 // for the stated purpose and refused for an unstated one, and the audit
 // trail records both.
 func Example() {
@@ -32,22 +32,22 @@ func Example() {
 	_ = db.RegisterProvider(maria)
 	_, _ = db.Insert("t", "maria", relational.Row{relational.Text("maria"), relational.Float(61.5)})
 
-	res, err := db.Query(ppdb.AccessRequest{
+	res, err := db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "dr", Purpose: "care", Visibility: 2,
 		SQL: "SELECT weight FROM t",
 	})
 	fmt.Println("care query error:", err)
 	fmt.Println("care weight:", res.Rows[0][0].Display())
 
-	_, err = db.Query(ppdb.AccessRequest{
+	_, err = db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "ads", Purpose: "marketing", Visibility: 2,
 		SQL: "SELECT weight FROM t",
 	})
-	fmt.Println("marketing query error:", err != nil)
+	fmt.Println("marketing query error:", err)
 	fmt.Println("audited accesses:", db.Audit().Len())
 	// Output:
 	// care query error: <nil>
 	// care weight: 61.5
-	// marketing query error: true
+	// marketing query error: query: access denied on "weight": no policy tuple for purpose "marketing"
 	// audited accesses: 2
 }

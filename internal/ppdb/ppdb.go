@@ -133,7 +133,6 @@ type DB struct {
 	// exclusively. Lock order: mu before any dbShard.mu.
 	mu sync.RWMutex
 
-	rdb    *relational.Database
 	scales privacy.Scales
 
 	policy   *privacy.HousePolicy
@@ -277,7 +276,6 @@ func New(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	d := &DB{
-		rdb:           relational.NewDatabase(),
 		scales:        scales,
 		policy:        cfg.Policy,
 		attrSens:      cfg.AttrSens,
@@ -375,12 +373,15 @@ func (d *DB) RegisterTable(name string, schema *relational.Schema, providerCol s
 	if _, ok := schema.ColumnIndex(providerCol); !ok {
 		return fmt.Errorf("ppdb: schema for %q has no provider column %q", name, providerCol)
 	}
-	tab, err := d.rdb.CreateTable(name, schema)
+	tab, err := relational.NewTable(name, schema)
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if _, dup := d.tables[tab.Name()]; dup {
+		return fmt.Errorf("ppdb: table %q already exists", tab.Name())
+	}
 	d.tables[tab.Name()] = &tableMeta{
 		table:       tab,
 		providerCol: providerCol,

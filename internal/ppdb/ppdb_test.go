@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/generalize"
 	"repro/internal/privacy"
+	"repro/internal/query"
 	"repro/internal/relational"
 )
 
@@ -129,9 +130,43 @@ func TestRegistrationErrors(t *testing.T) {
 	}
 }
 
+// TestRegisterTableDuplicateName checks that table names are unique up to
+// case and surrounding space, and that a refused registration leaves the
+// existing table and its rows untouched.
+func TestRegisterTableDuplicateName(t *testing.T) {
+	db := clinicDB(t)
+	first, _ := relational.NewSchema([]relational.Column{{Name: "who", Type: relational.TypeText}})
+	if err := db.RegisterTable("t", first, "who"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert("t", "alice", relational.Row{relational.Text("alice")}); err != nil {
+		t.Fatal(err)
+	}
+	second, _ := relational.NewSchema([]relational.Column{
+		{Name: "who", Type: relational.TypeText},
+		{Name: "extra", Type: relational.TypeInt},
+	})
+	if err := db.RegisterTable("T", second, "who"); err == nil {
+		t.Error(`registering "T" after "t" should fail`)
+	}
+	if err := db.RegisterTable(" Patients ", second, "who"); err == nil {
+		t.Error("re-registering patients should fail")
+	}
+	// The first t keeps its schema and its row.
+	if got := db.TableLen("t"); got != 1 {
+		t.Errorf("t rows = %d, want 1", got)
+	}
+	if _, err := db.Insert("t", "bob", relational.Row{relational.Text("bob")}); err != nil {
+		t.Errorf("insert with the first schema: %v", err)
+	}
+	if got := db.TableLen("patients"); got != 2 {
+		t.Errorf("patients rows = %d, want 2", got)
+	}
+}
+
 func TestQueryAllowedCareFullGranularity(t *testing.T) {
 	db := clinicDB(t)
-	res, err := db.Query(AccessRequest{
+	res, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "dr-jones",
 		Visibility: 2, // house
 		Purpose:    "care",
@@ -151,7 +186,7 @@ func TestQueryAllowedCareFullGranularity(t *testing.T) {
 
 func TestQueryGeneralizesForResearch(t *testing.T) {
 	db := clinicDB(t)
-	res, err := db.Query(AccessRequest{
+	res, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "analyst",
 		Visibility: 3, // third-party
 		Purpose:    "research",
@@ -159,6 +194,10 @@ func TestQueryGeneralizesForResearch(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Bob never consented to research: his row is withheld whole.
+	if len(res.Rows) != 1 || res.Rows[0][0].Display() != "alice" {
+		t.Fatalf("research rows = %v, want alice only", res.Rows)
 	}
 	// research grants partial granularity (2 of max 3): weight must be a
 	// range, not the exact value.
@@ -170,13 +209,13 @@ func TestQueryGeneralizesForResearch(t *testing.T) {
 
 func TestQueryDeniedWrongPurpose(t *testing.T) {
 	db := clinicDB(t)
-	_, err := db.Query(AccessRequest{
+	_, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "marketer",
 		Visibility: 2,
 		Purpose:    "marketing",
 		SQL:        "SELECT weight FROM patients",
 	})
-	var denied *DeniedError
+	var denied *query.DeniedError
 	if !errors.As(err, &denied) {
 		t.Fatalf("want DeniedError, got %v", err)
 	}
@@ -193,13 +232,13 @@ func TestQueryDeniedVisibility(t *testing.T) {
 	db := clinicDB(t)
 	// age for care is visible only up to house (2); a third-party (3) is
 	// refused.
-	_, err := db.Query(AccessRequest{
+	_, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "outsider",
 		Visibility: 3,
 		Purpose:    "care",
 		SQL:        "SELECT age FROM patients",
 	})
-	var denied *DeniedError
+	var denied *query.DeniedError
 	if !errors.As(err, &denied) {
 		t.Fatalf("want DeniedError, got %v", err)
 	}
@@ -212,13 +251,13 @@ func TestQueryWherePredicateGated(t *testing.T) {
 	db := clinicDB(t)
 	// Research policy does not cover age at all — even filtering on it must
 	// be denied (use of the attribute for an unstated purpose).
-	_, err := db.Query(AccessRequest{
+	_, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "analyst",
 		Visibility: 3,
 		Purpose:    "research",
 		SQL:        "SELECT weight FROM patients WHERE age > 40",
 	})
-	var denied *DeniedError
+	var denied *query.DeniedError
 	if !errors.As(err, &denied) || denied.Attribute != "age" {
 		t.Fatalf("WHERE attribute must be gated, got %v", err)
 	}
@@ -227,13 +266,13 @@ func TestQueryWherePredicateGated(t *testing.T) {
 func TestQueryStarExpandsGate(t *testing.T) {
 	db := clinicDB(t)
 	// SELECT * touches age, which research does not cover.
-	_, err := db.Query(AccessRequest{
+	_, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "analyst",
 		Visibility: 3,
 		Purpose:    "research",
 		SQL:        "SELECT * FROM patients",
 	})
-	var denied *DeniedError
+	var denied *query.DeniedError
 	if !errors.As(err, &denied) {
 		t.Fatalf("star must be expanded and gated, got %v", err)
 	}
@@ -241,10 +280,10 @@ func TestQueryStarExpandsGate(t *testing.T) {
 
 func TestQueryNonSelectRejected(t *testing.T) {
 	db := clinicDB(t)
-	if _, err := db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "DELETE FROM patients"}); err == nil {
+	if _, err := db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "DELETE FROM patients"}); err == nil {
 		t.Error("non-SELECT must be rejected")
 	}
-	if _, err := db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "not sql"}); err == nil {
+	if _, err := db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "not sql"}); err == nil {
 		t.Error("parse errors must surface")
 	}
 	if got := len(db.Audit().Denied()); got != 2 {
@@ -389,7 +428,11 @@ func TestSweepCellwiseExpiry(t *testing.T) {
 	if err := db.RegisterTable("t", schema, "patient"); err != nil {
 		t.Fatal(err)
 	}
+	// p1 consents to exactly the policy, so the enforced read below shows
+	// the row and only the swept cell is missing.
 	p := privacy.NewPrefs("p1", 10)
+	p.Add("weight", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 2})
+	p.Add("patient", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
 	if err := db.RegisterProvider(p); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +447,7 @@ func TestSweepCellwiseExpiry(t *testing.T) {
 	if rep.CellsExpired != 1 || rep.RowsDeleted != 0 {
 		t.Fatalf("sweep = %+v, want 1 cell expired", rep)
 	}
-	res, err := db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT weight FROM t"})
+	res, err := db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT weight FROM t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,13 +519,18 @@ func TestLatticePurposeEnforcement(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := privacy.NewPrefs("a@b.c", 10)
+	p.Add("email", privacy.Tuple{Purpose: "marketing", Visibility: 2, Granularity: 3, Retention: 4})
 	db.RegisterProvider(p)
 	db.Insert("contacts", "a@b.c", relational.Row{relational.Text("a@b.c")})
 
-	if _, err := db.Query(AccessRequest{Purpose: "email-marketing", Visibility: 2, SQL: "SELECT email FROM contacts"}); err != nil {
-		t.Errorf("lattice-covered purpose should be allowed: %v", err)
+	res, err := db.QueryEnforced(EnforcedQuery{Purpose: "email-marketing", Visibility: 2, SQL: "SELECT email FROM contacts"})
+	if err != nil {
+		t.Fatalf("lattice-covered purpose should be allowed: %v", err)
 	}
-	if _, err := db.Query(AccessRequest{Purpose: "telemetry", Visibility: 2, SQL: "SELECT email FROM contacts"}); err == nil {
+	if len(res.Rows) != 1 {
+		t.Errorf("the provider's marketing consent covers email-marketing: rows = %v", res.Rows)
+	}
+	if _, err := db.QueryEnforced(EnforcedQuery{Purpose: "telemetry", Visibility: 2, SQL: "SELECT email FROM contacts"}); err == nil {
 		t.Error("uncovered purpose must be denied")
 	}
 }

@@ -1,9 +1,8 @@
-// Per-datum query enforcement (DESIGN.md §15): QueryEnforced runs a SELECT
-// through internal/query, which checks every answered cell against the
-// contributing provider's live preferences — where the legacy Query path
-// (enforce.go) only applies the house policy as a ceiling. Both paths
-// coexist: Query remains the policy-ceiling view; QueryEnforced is what
-// POST /v1/query serves.
+// Per-datum query enforcement (DESIGN.md §15): QueryEnforced is the one
+// read path over registered tables. It runs a SELECT through
+// internal/query, which checks every answered cell against the
+// contributing provider's live preferences as well as the house policy;
+// POST /v1/query serves it.
 package ppdb
 
 import (
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/generalize"
 	"repro/internal/metrics"
 	"repro/internal/privacy"
 	"repro/internal/query"
@@ -84,11 +84,21 @@ func (s enforceSource) Expired(l privacy.Level, inserted time.Time) bool {
 
 // Generalize implements query.Source.
 func (s enforceSource) Generalize(attr string, v relational.Value, granted privacy.Level) relational.Value {
-	lv := s.d.hierarchyLevel(attr, granted)
+	h := s.d.hierarchyFor(attr)
+	lv := generalize.LevelFor(h, int(granted), int(s.d.scales.Granularity.Max()))
 	if lv == 0 {
 		return v
 	}
-	return s.d.hierarchyFor(attr).Generalize(v, lv)
+	return h.Generalize(v, lv)
+}
+
+// hierarchyFor returns the attribute's registered hierarchy, defaulting to
+// plain suppression.
+func (d *DB) hierarchyFor(attr string) generalize.Hierarchy {
+	if h, ok := d.hierarchies[strings.ToLower(attr)]; ok {
+		return h
+	}
+	return generalize.SuppressionHierarchy{}
 }
 
 // HasHierarchy implements query.Source: true only for attributes with a
@@ -153,7 +163,6 @@ func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 	d.mu.RUnlock()
 	mQuerySeconds.Observe(time.Since(start).Seconds())
 
-	req := AccessRequest{Requester: q.Requester, Purpose: q.Purpose, Visibility: q.Visibility, SQL: q.SQL}
 	if err != nil {
 		var denied *query.DeniedError
 		var unenf *query.UnenforceableError
@@ -168,10 +177,10 @@ func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 		default:
 			mQueryInvalid.Inc()
 		}
-		d.audit.record(at, req, false, err.Error())
+		d.audit.record(at, q, false, err.Error())
 		return nil, err
 	}
 	mQueryAllowed.Inc()
-	d.audit.record(at, req, true, "")
+	d.audit.record(at, q, true, "")
 	return res, nil
 }

@@ -396,11 +396,12 @@ func TestQueryEnforcedCellConformance(t *testing.T) {
 		return b
 	}
 	generalizeCell := func(attr string, raw relational.Value, granted privacy.Level) relational.Value {
-		lv := db.hierarchyLevel(attr, granted)
+		h := db.hierarchyFor(attr)
+		lv := generalize.LevelFor(h, int(granted), int(db.scales.Granularity.Max()))
 		if lv == 0 {
 			return raw
 		}
-		return db.hierarchyFor(attr).Generalize(raw, lv)
+		return h.Generalize(raw, lv)
 	}
 
 	type scenario struct {

@@ -1,8 +1,8 @@
 // Package query is the policy-aware query layer over internal/relational
 // (DESIGN.md §15): every SELECT carries a purpose and a requester
 // visibility class, and the executor enforces the paper's four dimensions
-// per datum against the live preference state — not just against the house
-// policy ceiling the legacy ppdb.Query path applies.
+// per datum against the live preference state as well as the house policy.
+// It is the only read path over stored tables.
 //
 // The pieces:
 //

@@ -564,6 +564,12 @@ func TestPlannerGates(t *testing.T) {
 		{"expression projection", "SELECT income + 1 FROM people"},
 		{"subquery predicate", "SELECT email FROM people WHERE city IN (SELECT city FROM people)"},
 		{"aggregate predicate", "SELECT email FROM people WHERE income > SUM(income)"},
+		{"having", "SELECT city FROM people GROUP BY city HAVING COUNT(*) > 1"},
+		{"group by expression", "SELECT city FROM people GROUP BY income / 10"},
+		{"distinct with aggregation", "SELECT DISTINCT city, COUNT(*) FROM people GROUP BY city"},
+		{"aggregate order key", "SELECT city FROM people ORDER BY COUNT(*)"},
+		{"not in subquery", "SELECT email FROM people WHERE id NOT IN (SELECT id FROM people)"},
+		{"nested subquery", "SELECT email FROM people WHERE id IN (SELECT id FROM people WHERE city IN (SELECT city FROM people))"},
 	}
 	for _, tc := range unenforceable {
 		t.Run(tc.name, func(t *testing.T) {

@@ -105,7 +105,13 @@ func parseCell(cell string, ct ColType) (Value, error) {
 	}
 }
 
-// ExportCSV writes a query Result as CSV with a header row.
+// Result is a relation to export: column names and rows.
+type Result struct {
+	Columns []string
+	Rows    [][]Value
+}
+
+// ExportCSV writes a Result as CSV with a header row.
 func ExportCSV(res *Result, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(res.Columns); err != nil {

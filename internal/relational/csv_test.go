@@ -90,16 +90,18 @@ func TestExportCSVRoundTrip(t *testing.T) {
 }
 
 func TestExportQueryResultCSV(t *testing.T) {
-	db := fixtureDB(t)
-	res, err := db.Query("SELECT city, COUNT(*) AS n FROM patients GROUP BY city ORDER BY city")
-	if err != nil {
-		t.Fatal(err)
+	res := &Result{
+		Columns: []string{"city", "n"},
+		Rows: [][]Value{
+			{Text("calgary"), Int(3)},
+			{Text("edmonton, ab"), Null()},
+		},
 	}
 	var buf bytes.Buffer
 	if err := ExportCSV(res, &buf); err != nil {
 		t.Fatal(err)
 	}
-	want := "city,n\ncalgary,3\nedmonton,2\n"
+	want := "city,n\ncalgary,3\n\"edmonton, ab\",\n"
 	if buf.String() != want {
 		t.Errorf("csv = %q, want %q", buf.String(), want)
 	}

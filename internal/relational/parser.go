@@ -124,9 +124,9 @@ func (f AggFn) String() string {
 	}
 }
 
-// InSubquery is `x [NOT] IN (SELECT …)` with an uncorrelated subquery. The
-// executor resolves the subquery into a literal list before row evaluation;
-// evaluating the raw node is an error.
+// InSubquery is `x [NOT] IN (SELECT …)` with an uncorrelated subquery. It
+// is parsed so the enforced planner can refuse it by name; evaluating the
+// node row-wise is an error.
 type InSubquery struct {
 	Not   bool
 	X     Expr
@@ -147,8 +147,8 @@ func (q InSubquery) String() string {
 	return fmt.Sprintf("(%s %s (SELECT …))", q.X, op)
 }
 
-// Agg is an aggregate call inside a SELECT item. It only evaluates inside
-// the executor's grouping machinery; Eval outside grouping is an error.
+// Agg is an aggregate call inside a SELECT item. It is parsed so the
+// enforced planner can refuse it by name; Eval is always an error.
 type Agg struct {
 	Fn   AggFn
 	Star bool // COUNT(*)

@@ -232,7 +232,7 @@ func removeID(ids []RowID, id RowID) []RowID {
 }
 
 // CreateIndex builds (or rebuilds) a secondary hash index on the named
-// column, used by the executor for equality lookups.
+// column, used by the enforced query planner for equality lookups.
 func (t *Table) CreateIndex(column string) error {
 	col, ok := t.schema.ColumnIndex(column)
 	if !ok {

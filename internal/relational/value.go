@@ -1,9 +1,12 @@
-// Package relational is a small in-memory relational database engine: typed
-// values, schemas, tables with hash indexes, an expression language and a
-// SQL dialect (CREATE TABLE / INSERT / SELECT with joins, grouping and
-// ordering / UPDATE / DELETE). It is the storage substrate the paper's model
+// Package relational is a small in-memory relational store: typed values,
+// schemas, tables with hash indexes, an expression language, a SQL parser
+// and CSV import/export. It is the storage substrate the paper's model
 // operates over — "the data table of private information T = {t_1 … t_n}"
-// of Sec. 4 — built from scratch on the standard library.
+// of Sec. 4 — built from scratch on the standard library. It executes no
+// SQL itself: every SELECT runs through the per-datum enforced path in
+// internal/query, which uses the parser's full dialect (joins, grouping,
+// DISTINCT, subqueries, UPDATE/DELETE) only to recognise and refuse what
+// it cannot enforce.
 package relational
 
 import (

@@ -194,11 +194,8 @@ func (e *Engine) Evaluate(shards []ShardSource, memo Memo) *Response {
 			}
 			var shd core.ProviderReport
 			if touched {
-				// Shadow assessments always take the reference path: the
-				// compiled columns were built against the live policy and the
-				// shadow policy is evaluated once per candidate, not per
-				// certification — compiling every provider against it would
-				// cost more than it saves.
+				// Shadow assessments take the reference path because the
+				// compiled columns were built against the live policy.
 				shd = e.shadow.AssessProvider(p)
 				ev.affected++
 			} else {

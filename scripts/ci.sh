@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: the full `make check` chain (gofmt, go vet, ppdblint, build,
 # tests), the fault-injection/crash-matrix suite, the WAL durability suite,
-# and a race pass over the concurrency-bearing packages — the PPDB
-# prototype, the relational engine, the ledger, the write-ahead log (group
+# the benchmark module's vet and unit tests, and a race pass over the
+# concurrency-bearing packages — the PPDB prototype, the relational table
+# store, the ledger, the write-ahead log (group
 # commit runs a background flusher against concurrent appenders), the fault
 # registry (global armed-site state hit from request goroutines), the
 # hardened HTTP layer (in-flight semaphore, readiness flag), the enforced
@@ -41,3 +42,8 @@ go test -race $race_pkgs
 # GOMAXPROCS=4 gives the race detector real interleavings of the per-shard
 # goroutines even on single-core runners.
 GOMAXPROCS=4 go test -race -run 'Shard|LedgerCertifyEquivalence' ./internal/ppdb ./internal/ledger
+
+# ppdbbench/ is its own Go module (a replace onto the root), so the root
+# `go build ./...` never compiles it: vet and test it here, or a removed
+# export breaks the benchmark without any gate noticing.
+(cd ppdbbench && go vet ./... && go test ./...)
