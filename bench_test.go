@@ -772,8 +772,8 @@ func benchQueryDB(b *testing.B, n int, violating bool) *ppdb.DB {
 // BenchmarkQueryEnforced measures the per-datum enforcement hot path
 // (DESIGN.md §15): a full-scan SELECT over 10k/100k rows, against a clean
 // population and one where enforcement suppresses or degrades roughly half
-// the rows. The per-row cost is two compiled binding lookups (binary
-// search + cover-mask test); ns/op is recorded in BENCH_certify.json and
+// the rows. The per-row cost is two compiled binding lookups (a walk over
+// the provider's compiled tuples, one cover-mask test each); ns/op is recorded in BENCH_certify.json and
 // gated by scripts/benchgate.sh.
 func BenchmarkQueryEnforced(b *testing.B) {
 	for _, mode := range []struct {

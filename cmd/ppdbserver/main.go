@@ -118,6 +118,9 @@ func main() {
 		os.Exit(1)
 	}
 	log.Print(kvlog.Line("event", "listening", "addr", ln.Addr()))
+	// Trap SIGINT/SIGTERM before anything serves, so a signal that lands
+	// while the store recovers drains instead of killing the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	boot := httpapi.NewBootstrap()
 	srv, errc := startServer(ln, boot)
 
@@ -157,7 +160,7 @@ func main() {
 	}
 	boot.Set(api)
 	log.Print(kvlog.Line("event", "ready"))
-	if err := run(srv, errc, api, db, *snapshotDir, *snapshotEvery, *drainTimeout); err != nil {
+	if err := run(ctx, stop, srv, errc, api, db, *snapshotDir, *snapshotEvery, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "ppdbserver: %v\n", err)
 		os.Exit(1)
 	}
@@ -194,20 +197,23 @@ func startServer(ln net.Listener, h http.Handler) (*http.Server, <-chan error) {
 }
 
 // serve runs the full lifecycle on an already-bound listener with the API
-// ready from the start (no recovery window). main uses startServer+run
-// directly so the bootstrap handler can answer during recovery.
+// ready from the start (no recovery window). The signal handler is
+// installed before the listener serves. main uses startServer+run directly
+// so the bootstrap handler can answer during recovery.
 func serve(ln net.Listener, api *httpapi.Server, db *ppdb.DB, snapDir string, every, drainTimeout time.Duration) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	srv, errc := startServer(ln, api)
-	return run(srv, errc, api, db, snapDir, every, drainTimeout)
+	return run(ctx, stop, srv, errc, api, db, snapDir, every, drainTimeout)
 }
 
 // run is the hardened lifecycle of a serving process: a background
 // checkpoint goroutine (periodic crash-safe snapshots that skip when
 // nothing changed since the last one, and prune replayed WAL segments) and
-// a SIGINT/SIGTERM graceful drain ending in a final checkpoint and WAL
-// close. It returns nil on a clean drained shutdown.
-func run(srv *http.Server, errc <-chan error, api *httpapi.Server, db *ppdb.DB, snapDir string, every, drainTimeout time.Duration) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+// a graceful drain once ctx is done, ending in a final checkpoint and WAL
+// close. ctx and stop come from signal.NotifyContext, created by the caller
+// before the listener starts serving so no early SIGINT/SIGTERM is lost;
+// run owns stop. It returns nil on a clean drained shutdown.
+func run(ctx context.Context, stop context.CancelFunc, srv *http.Server, errc <-chan error, api *httpapi.Server, db *ppdb.DB, snapDir string, every, drainTimeout time.Duration) error {
 	defer stop()
 
 	// The checkpointer runs off the serve loop so a slow Save never blocks

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -317,6 +319,8 @@ func TestServeBootstrapAndWALRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	boot := httpapi.NewBootstrap()
 	srv, errc := startServer(ln, boot)
 	base := "http://" + ln.Addr().String()
@@ -349,7 +353,7 @@ func TestServeBootstrapAndWALRestart(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- run(srv, errc, api, db, "", 0, 5*time.Second) }()
+	go func() { done <- run(ctx, stop, srv, errc, api, db, "", 0, 5*time.Second) }()
 
 	// A mutation served over HTTP is durable once acknowledged.
 	block := `provider "walter" threshold 50 {

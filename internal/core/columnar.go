@@ -40,13 +40,15 @@ func (a *Assessor) AssessCompiled(c *CompiledPrefs, sc *Scratch) ProviderReport 
 	sc.dims = sc.dims[:0]
 	sc.pairs = sc.pairs[:0]
 	sc.pairOff = sc.pairOff[:0]
+	off := 0 // start of tuple i's cover-mask words
 	for i, aid := range c.attrID {
-		mask := c.cover[i]
 		attrS := cp.attrSens[aid]
 		sVal := c.sVal[i]
 		start, end := cp.polStart[aid], cp.polStart[aid+1]
+		mask := c.cover[off : off+cp.maskWords(aid)]
+		off += len(mask)
 		for j := start; j < end; j++ {
-			if mask&(1<<(j-start)) == 0 {
+			if k := j - start; mask[k>>6]&(1<<(k&63)) == 0 {
 				continue
 			}
 			dimStart := len(sc.dims)
@@ -135,17 +137,18 @@ func (a *Assessor) AssessCompiled(c *CompiledPrefs, sc *Scratch) ProviderReport 
 	return rep
 }
 
-// AssessRow is the dispatch point the materialized stores (internal/ledger,
-// internal/ppdb) call per provider: the columnar kernel when the compiled
-// columns are present and were compiled against this assessor's policy, the
-// reference AssessProvider otherwise (nil columns, unmaskable policy, or a
-// row compiled under a since-swapped policy). Both paths return the same
-// report bit-for-bit.
+// AssessRow is the entry point the materialized stores (internal/ledger,
+// internal/ppdb) call per provider: the columnar kernel over c, recompiled
+// from p first when c is nil or was compiled under a since-swapped policy.
+// A nil sc gets a fresh arena.
 func (a *Assessor) AssessRow(p *privacy.Prefs, c *CompiledPrefs, sc *Scratch) ProviderReport {
-	if sc != nil && c.CurrentFor(a) {
-		return a.AssessCompiled(c, sc)
+	if !c.CurrentFor(a) {
+		c = a.Compile(p)
 	}
-	return a.AssessProvider(p)
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	return a.AssessCompiled(c, sc)
 }
 
 // Compiled returns the assessor's flattened policy (built at construction).

@@ -105,31 +105,126 @@ func TestAssessCompiledMatchesReference(t *testing.T) {
 				var sc Scratch
 				for i := 0; i < 200; i++ {
 					p := randomPrefs(rng, fmt.Sprintf("p%03d", i), extraAttrs, extraPurposes)
-					want := a.AssessProvider(p)
-					c := a.Compile(p)
-					if c == nil {
-						t.Fatalf("Compile returned nil for a maskable policy")
-					}
-					got := a.AssessCompiled(c, &sc)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("provider %d: kernel report differs\n got: %+v\nwant: %+v", i, got, want)
-					}
-					gj, _ := json.Marshal(got)
-					wj, _ := json.Marshal(want)
-					if string(gj) != string(wj) {
-						t.Fatalf("provider %d: JSON differs\n got: %s\nwant: %s", i, gj, wj)
-					}
-					if rep := a.AssessRow(p, c, &sc); !reflect.DeepEqual(rep, want) {
-						t.Fatalf("provider %d: AssessRow (compiled) differs from reference", i)
-					}
+					requireKernelMatches(t, a, p, &sc)
+				}
+			})
+		}
+	}
+
+	// Wide policies: one attribute holding 64, 65, 128 and 129 tuples, so
+	// the cover masks span one, two and three words, with a narrow
+	// attribute on either side to shift the mask offsets.
+	for _, n := range wideSizes {
+		for _, opts := range wideOptions(t, n) {
+			name := fmt.Sprintf("wide=%d/implicit=%v/lattice=%v", n, !opts.DisableImplicitZero, opts.Matcher != nil)
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(n)))
+				a, err := NewAssessor(widePolicy(rng, n), privacy.AttributeSensitivities{"wide": 1.5}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sc Scratch
+				for i := 0; i < 60; i++ {
+					requireKernelMatches(t, a, randomWidePrefs(rng, fmt.Sprintf("w%03d", i), n), &sc)
 				}
 			})
 		}
 	}
 }
 
-// TestAssessRowFallbacks covers every dispatch edge: nil columns, a policy
-// too wide for cover masks, and columns compiled under a different policy.
+// requireKernelMatches asserts that the columnar kernel's report for p is
+// identical — field-for-field and in JSON bytes — to AssessProvider's.
+func requireKernelMatches(t *testing.T, a *Assessor, p *privacy.Prefs, sc *Scratch) {
+	t.Helper()
+	want := a.AssessProvider(p)
+	c := a.Compile(p)
+	if c == nil {
+		t.Fatalf("%s: Compile returned nil", p.Provider)
+	}
+	got := a.AssessCompiled(c, sc)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: kernel report differs\n got: %+v\nwant: %+v", p.Provider, got, want)
+	}
+	gj, _ := json.Marshal(got)
+	wj, _ := json.Marshal(want)
+	if string(gj) != string(wj) {
+		t.Fatalf("%s: JSON differs\n got: %s\nwant: %s", p.Provider, gj, wj)
+	}
+	if rep := a.AssessRow(p, c, sc); !reflect.DeepEqual(rep, want) {
+		t.Fatalf("%s: AssessRow (compiled) differs from reference", p.Provider)
+	}
+}
+
+// wideSizes are the wide-attribute tuple counts: the last one-word mask,
+// the first two-word mask, the last two-word mask, the first three-word.
+var wideSizes = []int{64, 65, 128, 129}
+
+// widePurpose names the k-th purpose of the wide attribute; each wide
+// policy tuple has its own, so FindPolicyTuple resolves widePurpose(k) to
+// Index k.
+func widePurpose(k int) privacy.Purpose { return privacy.Purpose(fmt.Sprintf("pu%03d", k)) }
+
+// wideOptions returns the matcher/implicit-zero settings the wide tests
+// sweep. The lattice makes "all" cover every wide purpose and pu(k) cover
+// pu(k+64), so one preference tuple's mask sets bits in several words.
+func wideOptions(t *testing.T, n int) []Options {
+	t.Helper()
+	lat := privacy.NewLattice()
+	for k := 0; k < n; k++ {
+		if err := lat.AddEdge("all", widePurpose(k)); err != nil {
+			t.Fatal(err)
+		}
+		if k+64 < n {
+			if err := lat.AddEdge(widePurpose(k), widePurpose(k+64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return []Options{{}, {DisableImplicitZero: true}, {Matcher: lat}}
+}
+
+// widePolicy builds a policy with n tuples on attribute "wide" (purposes
+// widePurpose(0..n-1), random levels) between two narrow attributes.
+func widePolicy(rng *rand.Rand, n int) *privacy.HousePolicy {
+	hp := privacy.NewHousePolicy(fmt.Sprintf("wide%d", n))
+	level := func(max int) privacy.Level { return privacy.Level(rng.Intn(max)) }
+	hp.Add("aaa", privacy.Tuple{Purpose: widePurpose(0), Visibility: level(5), Granularity: level(4), Retention: level(6)})
+	for k := 0; k < n; k++ {
+		hp.Add("wide", privacy.Tuple{Purpose: widePurpose(k), Visibility: level(5), Granularity: level(4), Retention: level(6)})
+	}
+	hp.Add("zzz", privacy.Tuple{Purpose: widePurpose(n - 1), Visibility: level(5), Granularity: level(4), Retention: level(6)})
+	hp.Add("zzz", privacy.Tuple{Purpose: "all", Visibility: level(5), Granularity: level(4), Retention: level(6)})
+	return hp
+}
+
+// randomWidePrefs draws one provider for a wide policy: random tuples over
+// every attribute (and an uncovered one) plus explicit wide tuples at the
+// mask-word boundaries, sometimes for the lattice root "all".
+func randomWidePrefs(rng *rand.Rand, name string, n int) *privacy.Prefs {
+	purposes := []privacy.Purpose{"all", "unused"}
+	for k := 0; k < n; k++ {
+		purposes = append(purposes, widePurpose(k))
+	}
+	p := randomPrefs(rng, name, []string{"aaa", "wide", "zzz", "uncovered"}, purposes)
+	for _, k := range []int{0, 63, 64, 127, 128} {
+		if k < n && rng.Float64() < 0.4 {
+			p.Add("wide", privacy.Tuple{
+				Purpose:     widePurpose(k),
+				Visibility:  privacy.Level(rng.Intn(5)),
+				Granularity: privacy.Level(rng.Intn(4)),
+				Retention:   privacy.Level(rng.Intn(6)),
+			})
+		}
+	}
+	if rng.Float64() < 0.3 {
+		p.Add("wide", privacy.Tuple{Purpose: "all", Visibility: privacy.Level(rng.Intn(5))})
+	}
+	return p
+}
+
+// TestAssessRowFallbacks covers AssessRow's edges: nil columns and columns
+// compiled under a different policy are recompiled, a nil arena is
+// replaced, and a policy wider than one mask word compiles like any other.
 func TestAssessRowFallbacks(t *testing.T) {
 	hp := privacy.NewHousePolicy("hp").
 		Add("a", privacy.Tuple{Purpose: "svc", Visibility: 3, Granularity: 2, Retention: 4})
@@ -149,8 +244,9 @@ func TestAssessRowFallbacks(t *testing.T) {
 		t.Errorf("nil scratch: AssessRow differs from reference")
 	}
 
-	// A policy with > 64 tuples on one attribute overflows the cover mask:
-	// Compile must decline, and AssessRow must still answer correctly.
+	// A policy with > 64 tuples on one attribute needs multi-word cover
+	// masks: Compile must still compile, and the kernel must answer like
+	// the reference.
 	wide := privacy.NewHousePolicy("wide")
 	for i := 0; i < 70; i++ {
 		wide.Add("a", privacy.Tuple{Purpose: privacy.Purpose(fmt.Sprintf("pu%02d", i)), Visibility: 2})
@@ -159,15 +255,16 @@ func TestAssessRowFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wa.Compiled().Maskable() {
-		t.Fatalf("70-tuple attribute should not be maskable")
-	}
-	if c := wa.Compile(p); c != nil {
-		t.Fatalf("Compile should decline an unmaskable policy")
+	wc := wa.Compile(p)
+	if wc == nil {
+		t.Fatalf("Compile declined a 70-tuple attribute")
 	}
 	wideWant := wa.AssessProvider(p)
+	if got := wa.AssessCompiled(wc, &sc); !reflect.DeepEqual(got, wideWant) {
+		t.Errorf("wide policy: AssessCompiled differs from reference")
+	}
 	if got := wa.AssessRow(p, nil, &sc); !reflect.DeepEqual(got, wideWant) {
-		t.Errorf("unmaskable policy: AssessRow differs from reference")
+		t.Errorf("wide policy: AssessRow differs from reference")
 	}
 
 	// Columns compiled under another policy must be rejected, not trusted.
@@ -248,5 +345,31 @@ func TestAssessCompiledZeroAlloc(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("AssessCompiled allocates %.1f objects/op for a violated provider; want <= 2", allocs)
+	}
+
+	// The same holds when the masks span three words: a 129-tuple
+	// attribute granting nothing, a provider with explicit tuples in every
+	// word and implicit zeros for the rest.
+	wide := privacy.NewHousePolicy("wide")
+	for k := 0; k < 129; k++ {
+		wide.Add("wide", privacy.Tuple{Purpose: widePurpose(k)})
+	}
+	wa, err := NewAssessor(wide, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideClean := privacy.NewPrefs("clean", privacy.NoDefaultThreshold)
+	for _, k := range []int{0, 64, 128} {
+		wideClean.Add("wide", privacy.Tuple{Purpose: widePurpose(k), Visibility: 4, Granularity: 3, Retention: 5})
+	}
+	wc := wa.Compile(wideClean)
+	if rep := wa.AssessCompiled(wc, &sc); rep.Violated {
+		t.Fatalf("clean provider reported violated under the wide policy: %+v", rep)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		_ = wa.AssessCompiled(wc, &sc)
+	})
+	if allocs != 0 {
+		t.Errorf("AssessCompiled allocates %.1f objects/op for a clean provider under a wide policy; want 0", allocs)
 	}
 }

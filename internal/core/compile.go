@@ -12,13 +12,6 @@ import (
 	"repro/internal/privacy"
 )
 
-// maxPolicyTuplesPerAttr bounds the per-attribute policy range the compiled
-// representation supports: each preference tuple carries a uint64 purpose
-// cover mask with one bit per policy tuple of its attribute. Policies wider
-// than this are legal — Compile then returns nil and every assessment path
-// falls back to the reference AssessProvider.
-const maxPolicyTuplesPerAttr = 64
-
 // CompiledPolicy is the house policy flattened for the columnar kernel:
 // attribute and purpose strings interned to dense uint32 ids (attribute ids
 // assigned in sorted-attribute order), policy tuple levels laid out in
@@ -48,11 +41,6 @@ type CompiledPolicy struct {
 	// tuples — the "kept while any purpose still needs it" ceiling retention
 	// sweeps enforce per column.
 	retCeil []privacy.Level
-
-	// maskable is false when some attribute holds more than
-	// maxPolicyTuplesPerAttr tuples, overflowing the uint64 cover mask;
-	// Compile then declines and callers use the reference path.
-	maskable bool
 }
 
 // compilePolicy flattens hp. attrSens must already be validated.
@@ -60,7 +48,6 @@ func compilePolicy(hp *privacy.HousePolicy, attrSens privacy.AttributeSensitivit
 	cp := &CompiledPolicy{
 		attrs:    privacy.NewInterner(),
 		purposes: privacy.NewInterner(),
-		maskable: true,
 	}
 	attrs := hp.Attributes()
 	cp.polStart = make([]uint32, 1, len(attrs)+1)
@@ -68,9 +55,6 @@ func compilePolicy(hp *privacy.HousePolicy, attrSens privacy.AttributeSensitivit
 		cp.attrs.Intern(attr)
 		cp.attrSens = append(cp.attrSens, attrSens.Get(attr))
 		pols := hp.ForAttribute(attr)
-		if len(pols) > maxPolicyTuplesPerAttr {
-			cp.maskable = false
-		}
 		ceil := privacy.LevelZero
 		for _, pol := range pols {
 			t := pol.Tuple
@@ -100,9 +84,12 @@ func (cp *CompiledPolicy) AttrID(attr string) (uint32, bool) {
 // AttrName returns the canonical name of attribute id.
 func (cp *CompiledPolicy) AttrName(id uint32) string { return cp.attrs.Name(id) }
 
-// Maskable reports whether the policy fits the columnar kernel's per-tuple
-// cover masks (no attribute holds more than maxPolicyTuplesPerAttr tuples).
-func (cp *CompiledPolicy) Maskable() bool { return cp.maskable }
+// maskWords returns the number of uint64 cover-mask words each preference
+// tuple of attribute id carries: one bit per policy tuple of the attribute,
+// so ceil(n/64) words for n policy tuples.
+func (cp *CompiledPolicy) maskWords(id uint32) int {
+	return int(cp.polStart[id+1]-cp.polStart[id]+63) >> 6
+}
 
 // RetentionCeiling returns the maximum retention level over the attribute's
 // policy tuples, and whether the policy covers the attribute at all — the
@@ -126,8 +113,8 @@ func (cp *CompiledPolicy) RetentionCeiling(attr string) (privacy.Level, bool) {
 //
 // A CompiledPrefs is immutable once published (the owning store installs a
 // freshly compiled value on every mutation) and valid only against the
-// Assessor whose CompiledPolicy it was compiled from; AssessRow checks that
-// identity and falls back to the reference path on a stale or nil value.
+// Assessor whose CompiledPolicy it was compiled from; AssessRow and
+// BindingFor check that identity and recompile a stale or nil value.
 type CompiledPrefs struct {
 	Provider  string
 	Threshold float64
@@ -148,10 +135,11 @@ type CompiledPrefs struct {
 	sV     []float64 // s_i^a[V]
 	sG     []float64 // s_i^a[G]
 	sR     []float64 // s_i^a[R]
-	// cover is the purpose cover mask: bit j set means this tuple is
-	// comparable (Eq. 13, under the assessor's matcher) with the j-th policy
-	// tuple of its attribute's range. Computed once here so the kernel does
-	// no purpose matching at all.
+	// cover holds the purpose cover masks, maskWords(attrID[i]) words per
+	// tuple laid end to end in tuple order: bit j of a tuple's mask (word
+	// j/64, bit j%64) set means the tuple is comparable (Eq. 13, under the
+	// assessor's matcher) with the j-th policy tuple of its attribute's
+	// range. Computed once here so the kernel does no purpose matching.
 	cover []uint64
 	// implicit records whether the tuple was synthesized by the Sec. 5 rule.
 	implicit []bool
@@ -170,17 +158,16 @@ func (c *CompiledPrefs) CurrentFor(a *Assessor) bool {
 }
 
 // Compile flattens one provider's preferences into the columnar layout for
-// this assessor's policy. It returns nil when the policy is not maskable
-// (see maxPolicyTuplesPerAttr); callers treat a nil CompiledPrefs as "use
-// the reference path". The result references p's strings but never p
-// itself, so later mutations of p do not corrupt the columns as long as the
-// owning store replaces (rather than edits) registered preferences — the
-// convention internal/ppdb already follows.
+// this assessor's policy; it returns nil only for nil p. The result
+// references p's strings but never p itself, so later mutations of p do not
+// corrupt the columns as long as the owning store replaces (rather than
+// edits) registered preferences — the convention internal/ppdb already
+// follows.
 func (a *Assessor) Compile(p *privacy.Prefs) *CompiledPrefs {
-	cp := a.compiled
-	if cp == nil || !cp.maskable || p == nil {
+	if p == nil {
 		return nil
 	}
+	cp := a.compiled
 	m := a.opts.Matcher
 	if m == nil {
 		m = privacy.EqualityMatcher{}
@@ -192,15 +179,23 @@ func (a *Assessor) Compile(p *privacy.Prefs) *CompiledPrefs {
 		if start == end {
 			continue
 		}
+		nw := cp.maskWords(uint32(id))
 		explicit := len(p.ForAttribute(attr))
 		for idx, pref := range a.effectivePrefs(p, attr) {
-			var mask uint64
+			off := len(c.cover)
+			for k := 0; k < nw; k++ {
+				c.cover = append(c.cover, 0)
+			}
+			covered := false
 			for j := start; j < end; j++ {
 				if m.Covers(pref.Tuple.Purpose, privacy.Purpose(cp.purposes.Name(cp.polPurpose[j]))) {
-					mask |= 1 << (j - start)
+					k := j - start
+					c.cover[off+int(k>>6)] |= 1 << (k & 63)
+					covered = true
 				}
 			}
-			if mask == 0 {
+			if !covered {
+				c.cover = c.cover[:off]
 				continue // never comparable; contributes nothing (Eq. 13)
 			}
 			sens := p.Sensitivity(attr, pref.Tuple.Purpose)
@@ -212,7 +207,6 @@ func (a *Assessor) Compile(p *privacy.Prefs) *CompiledPrefs {
 			c.sV = append(c.sV, sens.Visibility)
 			c.sG = append(c.sG, sens.Granularity)
 			c.sR = append(c.sR, sens.Retention)
-			c.cover = append(c.cover, mask)
 			// EffectiveFor returns explicit tuples first, then synthesized
 			// zeros for house purposes no explicit tuple covers; a
 			// synthesized purpose can never equal an explicit one (equality

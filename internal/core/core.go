@@ -219,14 +219,6 @@ func (a *Assessor) AssessProvider(p *privacy.Prefs) ProviderReport {
 	return rep
 }
 
-// AssessOne is the stable per-provider entry point for incremental
-// maintainers (internal/ledger): one provider in, one immutable report out.
-// The report must not be mutated by callers — memoizing layers hand the
-// same row to many readers. Semantically identical to AssessProvider.
-func (a *Assessor) AssessOne(p *privacy.Prefs) ProviderReport {
-	return a.AssessProvider(p)
-}
-
 // Severity computes Violation_i (Eq. 15) alone.
 func (a *Assessor) Severity(p *privacy.Prefs) float64 {
 	return a.AssessProvider(p).Violation
@@ -255,7 +247,7 @@ type PopulationReport struct {
 func (a *Assessor) AssessPopulation(pop []*privacy.Prefs) PopulationReport {
 	rows := make([]ProviderReport, 0, len(pop))
 	for _, p := range pop {
-		rows = append(rows, a.AssessOne(p))
+		rows = append(rows, a.AssessProvider(p))
 	}
 	return AssemblePopulation(rows)
 }

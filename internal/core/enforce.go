@@ -4,14 +4,10 @@
 // most restrictive covering preference levels per row. Both lookups are
 // id-indexed walks over the flattened columns of compile.go — no map
 // iteration and no purpose matching on the hot path (the cover masks
-// precomputed at registration already encode Eq. 13 comparability) — with
-// the reference preference walk as the fallback for stale or unmaskable
-// compilations, mirroring AssessRow's dispatch.
+// precomputed at registration already encode Eq. 13 comparability).
 package core
 
 import (
-	"sort"
-
 	"repro/internal/privacy"
 )
 
@@ -90,57 +86,38 @@ type PrefBinding struct {
 }
 
 // BindingFor computes the preference binding for provider p at policy
-// coordinate ref. When c is current for this assessor the walk is the
-// columnar fast path — a binary search into the attribute's run plus a
-// cover-mask test per tuple; otherwise the reference effective-preference
-// walk is used. Both paths enumerate tuples in the same order, so the
-// binding (including tie-broken binding tuples) is identical.
+// coordinate ref, which must come from this assessor's FindPolicyTuple. It
+// walks the provider's compiled columns, recompiling them from p first when
+// c is nil or stale — AssessRow's rule. Tuples are folded in reference
+// enumeration order, so tie-broken binding tuples match the reference walk.
 func (a *Assessor) BindingFor(p *privacy.Prefs, c *CompiledPrefs, ref PolicyTupleRef) PrefBinding {
-	if c.CurrentFor(a) && ref.Index < maxPolicyTuplesPerAttr {
-		return c.binding(ref)
+	if !c.CurrentFor(a) {
+		c = a.Compile(p)
 	}
-	return a.bindingReference(p, ref)
-}
-
-// binding is the columnar fast path: fold per-dimension minima over the
-// attribute's compiled tuples whose cover mask includes the policy tuple.
-func (c *CompiledPrefs) binding(ref PolicyTupleRef) PrefBinding {
 	var b PrefBinding
-	bit := uint64(1) << ref.Index
-	lo := sort.Search(len(c.attrID), func(i int) bool { return c.attrID[i] >= ref.AttrID })
-	for i := lo; i < len(c.attrID) && c.attrID[i] == ref.AttrID; i++ {
-		if c.cover[i]&bit == 0 {
-			continue
-		}
-		tup := privacy.Tuple{
-			Purpose:     c.purpose[i],
-			Visibility:  privacy.Level(c.prefV[i]),
-			Granularity: privacy.Level(c.prefG[i]),
-			Retention:   privacy.Level(c.prefR[i]),
-		}
-		b.fold(tup, c.implicit[i])
-	}
-	return b
-}
-
-// bindingReference is the fallback: the same fold over the reference
-// effective-preference enumeration (explicit tuples in insertion order,
-// then implicit zeros in sorted house-purpose order).
-func (a *Assessor) bindingReference(p *privacy.Prefs, ref PolicyTupleRef) PrefBinding {
-	var b PrefBinding
-	if p == nil {
+	if c == nil {
 		return b
 	}
-	m := a.opts.Matcher
-	if m == nil {
-		m = privacy.EqualityMatcher{}
-	}
-	explicit := len(p.ForAttribute(ref.Attr))
-	for idx, pref := range a.effectivePrefs(p, ref.Attr) {
-		if !m.Covers(pref.Tuple.Purpose, ref.Tuple.Purpose) {
-			continue
+	// Fold the attribute's tuples whose cover mask includes the policy
+	// tuple, tracking each tuple's mask offset; attribute ids ascend along
+	// the columns, so the walk stops past ref's attribute.
+	cp := c.policy
+	word, bit := int(ref.Index>>6), uint64(1)<<(ref.Index&63)
+	off := 0
+	for i, aid := range c.attrID {
+		if aid > ref.AttrID {
+			break
 		}
-		b.fold(pref.Tuple, idx >= explicit)
+		if aid == ref.AttrID && c.cover[off+word]&bit != 0 {
+			tup := privacy.Tuple{
+				Purpose:     c.purpose[i],
+				Visibility:  privacy.Level(c.prefV[i]),
+				Granularity: privacy.Level(c.prefG[i]),
+				Retention:   privacy.Level(c.prefR[i]),
+			}
+			b.fold(tup, c.implicit[i])
+		}
+		off += cp.maskWords(aid)
 	}
 	return b
 }

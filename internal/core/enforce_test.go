@@ -123,7 +123,7 @@ func TestBindingForMatchesReference(t *testing.T) {
 					p := randomPrefs(rng, fmt.Sprintf("p%03d", i), extraAttrs, extraPurposes)
 					c := a.Compile(p)
 					if c == nil {
-						t.Fatal("Compile returned nil for a maskable policy")
+						t.Fatal("Compile returned nil")
 					}
 					for _, attr := range extraAttrs {
 						for _, pr := range extraPurposes {
@@ -131,15 +131,51 @@ func TestBindingForMatchesReference(t *testing.T) {
 							if !ok {
 								continue
 							}
-							want := a.bindingReference(p, ref)
-							got := a.BindingFor(p, c, ref)
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("provider %d (%s, %s): binding differs\n got: %+v\nwant: %+v",
-									i, attr, pr, got, want)
-							}
-							// A nil compilation must fall back to the same answer.
-							if fb := a.BindingFor(p, nil, ref); !reflect.DeepEqual(fb, want) {
-								t.Fatalf("provider %d (%s, %s): nil-compiled fallback differs", i, attr, pr)
+							requireBindingMatches(t, a, p, c, ref)
+							requireBindingMatches(t, a, p, nil, ref)
+						}
+					}
+				}
+			})
+		}
+	}
+
+	// Wide policies (see wideSizes): probe the wide attribute at the
+	// mask-word boundaries, then every resolvable coordinate.
+	for _, n := range wideSizes {
+		for _, opts := range wideOptions(t, n) {
+			name := fmt.Sprintf("wide=%d/implicit=%v/lattice=%v", n, !opts.DisableImplicitZero, opts.Matcher != nil)
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(n) + 1))
+				a, err := NewAssessor(widePolicy(rng, n), nil, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				purposes := []privacy.Purpose{"all", "unused"}
+				for k := 0; k < n; k++ {
+					purposes = append(purposes, widePurpose(k))
+				}
+				for i := 0; i < 20; i++ {
+					p := randomWidePrefs(rng, fmt.Sprintf("w%03d", i), n)
+					c := a.Compile(p)
+					if c == nil {
+						t.Fatal("Compile returned nil")
+					}
+					for _, k := range []int{0, 63, 64, 127, 128} {
+						if k >= n {
+							continue
+						}
+						ref, ok := a.FindPolicyTuple("wide", widePurpose(k))
+						if !ok || ref.Index != uint32(k) {
+							t.Fatalf("FindPolicyTuple(wide, %s) = %+v, %v; want Index %d", widePurpose(k), ref, ok, k)
+						}
+						requireBindingMatches(t, a, p, c, ref)
+						requireBindingMatches(t, a, p, nil, ref)
+					}
+					for _, attr := range []string{"aaa", "wide", "zzz"} {
+						for _, pr := range purposes {
+							if ref, ok := a.FindPolicyTuple(attr, pr); ok {
+								requireBindingMatches(t, a, p, c, ref)
 							}
 						}
 					}
@@ -149,9 +185,43 @@ func TestBindingForMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBindingForDispatch covers the fast-path guards: a compilation built
-// under a different policy must not be trusted, and a policy coordinate
-// beyond the cover-mask width must use the reference walk.
+// requireBindingMatches asserts that BindingFor over columns c (nil means
+// recompiled on use) equals the reference walk.
+func requireBindingMatches(t *testing.T, a *Assessor, p *privacy.Prefs, c *CompiledPrefs, ref PolicyTupleRef) {
+	t.Helper()
+	want := a.bindingReference(p, ref)
+	if got := a.BindingFor(p, c, ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s (%s, %s #%d, nil columns=%v): binding differs\n got: %+v\nwant: %+v",
+			p.Provider, ref.Attr, ref.Tuple.Purpose, ref.Index, c == nil, got, want)
+	}
+}
+
+// bindingReference is the test oracle for BindingFor: the same fold over
+// the reference effective-preference enumeration (explicit tuples in
+// insertion order, then implicit zeros in sorted house-purpose order),
+// with purpose coverage decided by the matcher directly.
+func (a *Assessor) bindingReference(p *privacy.Prefs, ref PolicyTupleRef) PrefBinding {
+	var b PrefBinding
+	if p == nil {
+		return b
+	}
+	m := a.opts.Matcher
+	if m == nil {
+		m = privacy.EqualityMatcher{}
+	}
+	explicit := len(p.ForAttribute(ref.Attr))
+	for idx, pref := range a.effectivePrefs(p, ref.Attr) {
+		if !m.Covers(pref.Tuple.Purpose, ref.Tuple.Purpose) {
+			continue
+		}
+		b.fold(pref.Tuple, idx >= explicit)
+	}
+	return b
+}
+
+// TestBindingForDispatch covers the stale-row rule: a compilation built
+// under a different policy must not be trusted, and nil preferences bind
+// nothing.
 func TestBindingForDispatch(t *testing.T) {
 	hp := privacy.NewHousePolicy("hp").
 		Add("email", privacy.Tuple{Purpose: "service", Visibility: 3, Granularity: 2, Retention: 4})
@@ -181,15 +251,6 @@ func TestBindingForDispatch(t *testing.T) {
 	stale := a2.Compile(p)
 	if got := a.BindingFor(p, stale, ref); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stale compiled binding differs\n got: %+v\nwant: %+v", got, want)
-	}
-
-	// An index past the mask width forces the reference walk even with a
-	// current compilation.
-	wide := ref
-	wide.Index = maxPolicyTuplesPerAttr
-	cur := a.Compile(p)
-	if got := a.BindingFor(p, cur, wide); !reflect.DeepEqual(got, a.bindingReference(p, wide)) {
-		t.Fatal("wide-index binding must match the reference walk")
 	}
 
 	// No preferences at all: the binding reports Found=false and the policy

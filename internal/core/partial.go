@@ -4,8 +4,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-
-	"repro/internal/privacy"
 )
 
 // Partial is the aggregate contribution of one subset of the population —
@@ -133,17 +131,4 @@ func FanOut(n, workers int, f func(i int)) {
 	}
 	close(idx)
 	wg.Wait()
-}
-
-// AssessPopulationParallel evaluates every provider across at most workers
-// goroutines and aggregates. The rows land in input order and the float
-// total is summed in that order, so the result is bit-identical to the
-// serial AssessPopulation over the same slice — parallelism changes where
-// the work runs, never what it sums to.
-func (a *Assessor) AssessPopulationParallel(pop []*privacy.Prefs, workers int) PopulationReport {
-	rows := make([]ProviderReport, len(pop))
-	FanOut(len(pop), workers, func(i int) {
-		rows[i] = a.AssessOne(pop[i])
-	})
-	return AssemblePopulation(rows)
 }

@@ -106,8 +106,8 @@ type Ledger struct {
 
 // Item is one (key, prefs, version) triple for batch application. Compiled
 // optionally carries the provider's columnar tuple columns (compiled by the
-// caller against the ledger's current assessor); when present and current,
-// re-assessments run the columnar kernel instead of the reference walk.
+// caller against the ledger's current assessor); a nil or stale value is
+// recompiled by core.Assessor.AssessRow before the kernel runs.
 type Item struct {
 	Key      string
 	Prefs    *privacy.Prefs
@@ -188,9 +188,9 @@ func (l *Ledger) Upsert(key string, prefs *privacy.Prefs, prefsVersion uint64) c
 
 // UpsertCompiled is Upsert with the provider's columnar tuple columns
 // supplied by the caller (internal/ppdb compiles them once per registration
-// and shares them with its own store). A memo miss then runs the columnar
-// kernel in the shard's scratch arena; a nil or stale compiled value falls
-// back to the reference assessment, so the result is identical either way.
+// and shares them with its own store). A memo miss runs the columnar kernel
+// in the shard's scratch arena; a nil or stale compiled value is recompiled
+// first (core.Assessor.AssessRow), so the result is identical either way.
 func (l *Ledger) UpsertCompiled(key string, prefs *privacy.Prefs, compiled *core.CompiledPrefs, prefsVersion uint64) core.ProviderReport {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -267,7 +267,7 @@ func (l *Ledger) Rebuild(a *core.Assessor, policyVersion uint64) {
 // the new assessor supplied by the caller (internal/ppdb recompiles its
 // store during SetPolicy and hands the same columns here, so the population
 // is compiled once, not twice). Keys missing from compiled — or a nil map —
-// fall back to the reference assessment per row; results are identical.
+// are recompiled per row by core.Assessor.AssessRow; results are identical.
 //
 //lint:deterministic rebuilt aggregates must match a from-scratch assessment bit-for-bit
 func (l *Ledger) RebuildCompiled(a *core.Assessor, policyVersion uint64, compiled map[string]*core.CompiledPrefs) {

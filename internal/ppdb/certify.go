@@ -10,9 +10,8 @@ import (
 )
 
 // Certification call counters by answer path (DESIGN.md §10): incremental
-// (ledger snapshot), full (the O(N) recompute — also the fallback the
-// ledgerless paths of Certify/CertifySummary land on), and summary (the
-// O(1) aggregate read).
+// (ledger snapshot), full (the O(N) recompute oracle CertifyFull), and
+// summary (the O(1) aggregate read).
 var (
 	mCertifyIncremental = metrics.Default.Counter("ppdb_certify_total",
 		"certifications by answer path", "path", "incremental")
@@ -43,10 +42,9 @@ type Certification struct {
 }
 
 // CertificationSummary is the aggregate-only certification: the population
-// quantities without per-provider rows. With the ledger enabled it is
-// answered from the running aggregates in O(1); TotalViolations is then
-// the running float total (last-ulp approximate — see internal/ledger),
-// while every other field is exact.
+// quantities without per-provider rows, answered from the ledger's running
+// aggregates in O(1). TotalViolations is the running float total (last-ulp
+// approximate — see internal/ledger); every other field is exact.
 type CertificationSummary struct {
 	At              time.Time
 	PolicyName      string
@@ -63,16 +61,12 @@ type CertificationSummary struct {
 }
 
 // Certify assesses the current policy against every registered provider and
-// issues the α verdict. With the ledger enabled the report is assembled
-// from the memoized per-provider rows — O(N) copying, zero re-assessment
-// after an O(changed) delta apply; otherwise it falls back to the full
-// recompute of CertifyFull. Both paths produce identical results.
+// issues the α verdict. The report is assembled from the ledger's memoized
+// per-provider rows — O(N) copying, zero re-assessment after an
+// O(changed) delta apply — and is byte-identical to CertifyFull's.
 func (d *DB) Certify(alpha float64) (*Certification, error) {
 	if err := checkAlpha(alpha); err != nil {
 		return nil, err
-	}
-	if d.ledger == nil {
-		return d.CertifyFull(alpha)
 	}
 	mCertifyIncremental.Inc()
 	d.mu.RLock()
@@ -84,14 +78,13 @@ func (d *DB) Certify(alpha float64) (*Certification, error) {
 }
 
 // CertifyFull recomputes the certification from scratch over the whole
-// population — the O(N) cold path, kept as the ledger's fallback and as the
-// oracle the equivalence tests compare against. It runs the columnar kernel
-// (DESIGN.md §13) over each shard's compiled tuple columns, one worker and
-// one scratch arena per shard, then merges the per-shard sorted rows into
-// global sorted provider order before assembling — the same enumeration and
-// float-sum order as the serial row-oriented recompute, so the result is
-// bit-identical to it (providers without compiled columns fall back to the
-// reference assessment per row).
+// population — the O(N) cold path, kept as the oracle the equivalence
+// tests and the benchmark's checks compare Certify against. It runs the
+// columnar kernel (DESIGN.md §13) over each shard's compiled tuple columns,
+// one worker and one scratch arena per shard, then merges the per-shard
+// sorted rows into global sorted provider order before assembling — the
+// same enumeration and float-sum order as the serial row-oriented
+// recompute, so the result is bit-identical to it.
 //
 //lint:deterministic certification bytes are the paper's auditable artifact (Eq. 12-16)
 func (d *DB) CertifyFull(alpha float64) (*Certification, error) {
@@ -148,33 +141,10 @@ func (d *DB) CertifyFull(alpha float64) (*Certification, error) {
 }
 
 // CertifySummary answers the population-level certification without
-// materializing per-provider rows. With the ledger enabled this is O(1).
+// materializing per-provider rows, in O(1) from the ledger's aggregates.
 func (d *DB) CertifySummary(alpha float64) (*CertificationSummary, error) {
 	if err := checkAlpha(alpha); err != nil {
 		return nil, err
-	}
-	if d.ledger == nil {
-		cert, err := d.CertifyFull(alpha)
-		if err != nil {
-			return nil, err
-		}
-		d.mu.RLock()
-		version := d.policyVersion
-		d.mu.RUnlock()
-		return &CertificationSummary{
-			At:              cert.At,
-			PolicyName:      cert.PolicyName,
-			PolicyVersion:   version,
-			Alpha:           alpha,
-			N:               cert.Report.N,
-			ViolatedCount:   cert.Report.ViolatedCount,
-			DefaultCount:    cert.Report.DefaultCount,
-			TotalViolations: cert.Report.TotalViolations,
-			PW:              cert.Report.PW,
-			PDefault:        cert.Report.PDefault,
-			IsAlphaPPDB:     cert.IsAlphaPPDB,
-			MinAlpha:        cert.Report.PW,
-		}, nil
 	}
 	mCertifySummary.Inc()
 	d.mu.RLock()

@@ -3,12 +3,14 @@ package ppdb
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/privacy"
 )
 
 // TestColumnarKernelMatchesReferenceAcrossShards is the randomized-
@@ -50,8 +52,7 @@ func TestColumnarKernelMatchesReferenceAcrossShards(t *testing.T) {
 				db := buildShardedDB(t, seed, shards)
 
 				// (a) Row equivalence: every stored provider must carry
-				// current compiled columns (the sweep's policy is maskable),
-				// and the kernel's report for them must equal the reference
+				// current compiled columns, and the kernel's report for them must equal the reference
 				// walk field-for-field.
 				db.mu.RLock()
 				assessor := db.assessor
@@ -116,5 +117,104 @@ func TestColumnarKernelMatchesReferenceAcrossShards(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWidePolicyCertifyAcrossShards runs certification under policies with
+// 70 tuples on one attribute, whose cover masks span two words: every
+// stored provider must carry current compiled columns, Certify must be
+// byte-identical to CertifyFull and CertifyFull to the serial reference,
+// and the bytes must not depend on the shard count — before and after a
+// swap to another wide policy.
+func TestWidePolicyCertifyAcrossShards(t *testing.T) {
+	const width = 70
+	purpose := func(k int) privacy.Purpose { return privacy.Purpose(fmt.Sprintf("pu%02d", k)) }
+	widePolicy := func(name string, shift int) *privacy.HousePolicy {
+		hp := privacy.NewHousePolicy(name)
+		hp.Add("weight", privacy.Tuple{Purpose: purpose(0), Visibility: 2, Granularity: 2, Retention: 2})
+		for k := 0; k < width; k++ {
+			hp.Add("wide", privacy.Tuple{
+				Purpose:     purpose(k),
+				Visibility:  privacy.Level((k + shift) % 5),
+				Granularity: privacy.Level((k + shift) % 4),
+				Retention:   privacy.Level((k + shift) % 6),
+			})
+		}
+		return hp
+	}
+	rng := rand.New(rand.NewSource(width))
+	pop := make([]*privacy.Prefs, 150)
+	for i := range pop {
+		p := privacy.NewPrefs(fmt.Sprintf("w%03d", i), rng.Float64()*6)
+		for n := rng.Intn(5); n > 0; n-- {
+			k := []int{rng.Intn(width), 63, 64, width - 1}[rng.Intn(4)]
+			p.Add("wide", privacy.Tuple{
+				Purpose:     purpose(k),
+				Visibility:  privacy.Level(rng.Intn(5)),
+				Granularity: privacy.Level(rng.Intn(4)),
+				Retention:   privacy.Level(rng.Intn(6)),
+			})
+		}
+		if rng.Intn(2) == 0 {
+			p.Add("weight", privacy.Tuple{Purpose: purpose(0), Visibility: privacy.Level(rng.Intn(5))})
+		}
+		pop[i] = p
+	}
+
+	var base [][]byte
+	for _, shards := range shardSweepCounts {
+		db, err := New(Config{Policy: widePolicy("wide-v1", 0), Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.RegisterProviders(pop[:100]); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pop[100:] {
+			if err := db.RegisterProvider(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var certs [][]byte
+		for stage, next := range []*privacy.HousePolicy{nil, widePolicy("wide-v2", 1)} {
+			if next != nil {
+				if _, err := db.SetPolicy(next); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.mu.RLock()
+			assessor := db.assessor
+			snaps := db.snapshotShardsShared()
+			db.mu.RUnlock()
+			for _, sn := range snaps {
+				for j, st := range sn.states {
+					if !st.compiled.CurrentFor(assessor) {
+						t.Fatalf("shards=%d stage=%d: provider %s has stale or missing compiled columns", shards, stage, sn.keys[j])
+					}
+				}
+			}
+			label := fmt.Sprintf("wide shards=%d stage=%d", shards, stage)
+			requireCertEquiv(t, db, 0.25, label)
+			full, err := db.CertifyFull(0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := assessor.AssessPopulation(db.Providers()); !bytes.Equal(mustJSON(t, full.Report), mustJSON(t, ref)) {
+				t.Errorf("%s: columnar certification diverges from the serial reference", label)
+			}
+			if full.Report.ViolatedCount == 0 {
+				t.Fatalf("%s: no provider is violated; the comparison is vacuous", label)
+			}
+			certs = append(certs, mustJSON(t, full))
+		}
+		if base == nil {
+			base = certs
+			continue
+		}
+		for stage := range certs {
+			if !bytes.Equal(certs[stage], base[stage]) {
+				t.Errorf("shards=%d stage=%d: certification bytes differ from shards=%d", shards, stage, shardSweepCounts[0])
+			}
+		}
 	}
 }

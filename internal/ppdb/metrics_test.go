@@ -9,9 +9,9 @@ import (
 )
 
 // TestCertifyPathCounters pins the per-path certification counters:
-// ledger-backed DBs answer Certify incrementally and CertifySummary from
-// the aggregates; a DisableIncremental DB routes everything through the
-// full recompute. Shared default registry → delta assertions.
+// Certify answers incrementally, CertifySummary from the aggregates, and
+// only the explicit CertifyFull oracle counts as full. Shared default
+// registry → delta assertions.
 func TestCertifyPathCounters(t *testing.T) {
 	db := clinicDB(t)
 	inc0, full0, sum0 := mCertifyIncremental.Value(), mCertifyFull.Value(), mCertifySummary.Value()
@@ -40,19 +40,12 @@ func TestCertifyPathCounters(t *testing.T) {
 		t.Errorf("rejected alpha still counted: %d", got)
 	}
 
-	// The explicit oracle and the ledgerless fallback count as full.
+	// The explicit oracle counts as full.
 	if _, err := db.CertifyFull(0.5); err != nil {
 		t.Fatal(err)
 	}
-	flat, err := New(Config{Policy: db.Policy(), DisableIncremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flat.Certify(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if got := mCertifyFull.Value() - full0; got != 2 {
-		t.Errorf("full moved %d, want 2", got)
+	if got := mCertifyFull.Value() - full0; got != 1 {
+		t.Errorf("full moved %d, want 1", got)
 	}
 }
 

@@ -47,21 +47,16 @@ var (
 	mProviders = metrics.Default.Gauge("ppdb_providers",
 		"registered data providers (the population size N)")
 	mPW = metrics.Default.Gauge("ppdb_pw",
-		"current P(W), the fraction of providers with at least one violation (Def. 2); ledger-backed DBs only")
+		"current P(W), the fraction of providers with at least one violation (Def. 2)")
 	mPDefault = metrics.Default.Gauge("ppdb_pdefault",
-		"current P(Default), the fraction of providers whose severity exceeds their threshold (Def. 5); ledger-backed DBs only")
+		"current P(Default), the fraction of providers whose severity exceeds their threshold (Def. 5)")
 )
 
 // publishGauges refreshes the population gauges from the atomic provider
-// count and the ledger aggregates (O(P)). Without a ledger only the
-// provider count is published — recomputing P(W) per mutation would be the
-// O(N) cost DisableIncremental opted out of. Needs no DB lock: the count
-// is atomic and the ledger self-locking.
+// count and the ledger aggregates (O(P)). Needs no DB lock: the count is
+// atomic and the ledger self-locking.
 func (d *DB) publishGauges() {
 	mProviders.Set(float64(d.nProviders.Load()))
-	if d.ledger == nil {
-		return
-	}
 	sum := d.ledger.Summary()
 	mPW.Set(sum.PW)
 	mPDefault.Set(sum.PDefault)
@@ -83,8 +78,8 @@ type tableMeta struct {
 }
 
 // providerState is one provider's stored state: the registered preferences
-// and their columnar compilation against the current policy (nil when the
-// policy is not maskable — the kernel's fallback case). A providerState is
+// and their columnar compilation against the current policy. A
+// providerState is
 // immutable once installed; every registration and every policy recompile
 // installs a fresh value, so certification workers may keep reading a
 // snapshot of states after the shard lock is released.
@@ -156,11 +151,10 @@ type DB struct {
 	policyLog []PolicyChange
 
 	// assessor is the cached assessor for (policy, attrSens, opts); it is
-	// rebuilt only by SetPolicy, so the full-recompute fallback paths never
-	// re-validate and reconstruct one per call.
+	// rebuilt only by SetPolicy, so no read path re-validates and
+	// reconstructs one per call.
 	assessor *core.Assessor
-	// ledger is the incremental violation view (nil when
-	// Config.DisableIncremental is set); it is constructed once and
+	// ledger is the incremental violation view; it is constructed once and
 	// self-locking, and every provider/policy mutation keeps it current.
 	// Its shard count equals len(shards).
 	ledger *ledger.Ledger
@@ -220,12 +214,6 @@ type Config struct {
 	// (core.DefaultShards). 1 reproduces the serial pre-sharding behavior
 	// exactly. Certification results are byte-identical for every value.
 	Shards int
-	// DisableIncremental turns off the violation ledger: certification,
-	// self-audits and policy what-ifs fall back to full recomputation over
-	// all providers. Assessment results are identical either way; this
-	// exists for A/B verification and write-heavy workloads that never
-	// certify.
-	DisableIncremental bool
 }
 
 // New builds a PPDB.
@@ -292,12 +280,8 @@ func New(cfg Config) (*DB, error) {
 	for i := range d.shards {
 		d.shards[i] = &dbShard{providers: make(map[string]*providerState)}
 	}
-	if !cfg.DisableIncremental {
-		led, err := ledger.NewSharded(assessor, d.policyVersion, nShards)
-		if err != nil {
-			return nil, err
-		}
-		d.ledger = led
+	if d.ledger, err = ledger.NewSharded(assessor, d.policyVersion, nShards); err != nil {
+		return nil, err
 	}
 	d.publishGauges()
 	return d, nil
@@ -435,9 +419,7 @@ func (d *DB) registerShared(p *privacy.Prefs) (uint64, error) {
 	}
 	_, existed := s.providers[key]
 	s.prefsVersion++
-	if c != nil {
-		c.PrefsVersion = s.prefsVersion
-	}
+	c.PrefsVersion = s.prefsVersion
 	s.providers[key] = &providerState{prefs: p, compiled: c, version: s.prefsVersion}
 	if !existed {
 		i := sort.SearchStrings(s.keys, key)
@@ -445,9 +427,7 @@ func (d *DB) registerShared(p *privacy.Prefs) (uint64, error) {
 		copy(s.keys[i+1:], s.keys[i:])
 		s.keys[i] = key
 	}
-	if d.ledger != nil {
-		d.ledger.UpsertCompiled(key, p, c, s.prefsVersion)
-	}
+	d.ledger.UpsertCompiled(key, p, c, s.prefsVersion)
 	s.mu.Unlock()
 	if !existed {
 		d.nProviders.Add(1)
@@ -502,9 +482,7 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 			}
 			c := d.assessor.Compile(p)
 			s.prefsVersion++
-			if c != nil {
-				c.PrefsVersion = s.prefsVersion
-			}
+			c.PrefsVersion = s.prefsVersion
 			s.providers[key] = &providerState{prefs: p, compiled: c, version: s.prefsVersion}
 			items = append(items, ledger.Item{Key: key, Prefs: p, Compiled: c, Version: s.prefsVersion})
 		}
@@ -515,13 +493,11 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 		s.mu.Unlock()
 		shardItems[i] = items
 	})
-	if d.ledger != nil {
-		all := make([]ledger.Item, 0, len(ps))
-		for _, items := range shardItems {
-			all = append(all, items...)
-		}
-		d.ledger.UpsertBatch(all)
+	all := make([]ledger.Item, 0, len(ps))
+	for _, items := range shardItems {
+		all = append(all, items...)
 	}
+	d.ledger.UpsertBatch(all)
 	d.mu.Unlock()
 	d.mutSeq.Add(1)
 	d.publishGauges()
@@ -580,7 +556,8 @@ func mergeSortedKeys(a, b []string) []string {
 func (d *DB) Providers() []*privacy.Prefs {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.populationShared()
+	_, prefs := d.sortedProvidersShared()
+	return prefs
 }
 
 // ProvidersPage returns the number of providers whose canonical key starts
@@ -679,12 +656,6 @@ func (d *DB) snapshotShardsShared() []shardSnap {
 	return snaps
 }
 
-// populationShared is sortedProvidersShared without the keys.
-func (d *DB) populationShared() []*privacy.Prefs {
-	_, prefs := d.sortedProvidersShared()
-	return prefs
-}
-
 // RemoveProvider deletes a provider's preferences and all of their rows —
 // the mechanics of a default (Def. 4): the provider leaves and contributes
 // zero information. Returns the number of rows deleted. Tables are visited
@@ -711,9 +682,7 @@ func (d *DB) RemoveProvider(name string) (int, error) {
 	if existed {
 		d.nProviders.Add(-1)
 	}
-	if d.ledger != nil {
-		d.ledger.Remove(key)
-	}
+	d.ledger.Remove(key)
 	removed := 0
 	tableNames := make([]string, 0, len(d.tables))
 	for n := range d.tables {
@@ -785,10 +754,9 @@ func (d *DB) TableLen(table string) int {
 
 // SetPolicy swaps the house policy, measuring the before/after population
 // impact and appending to the policy log. The returned what-if deltas let
-// callers decide whether to notify providers. With the ledger enabled the
-// "before" numbers are read from the running aggregates in O(P) and the
-// swap triggers one cold rebuild, one goroutine per shard; the fallback
-// path recomputes both sides over the sorted population in parallel.
+// callers decide whether to notify providers. The "before" and "after"
+// numbers are read from the ledger's running aggregates in O(P) on either
+// side of one cold rebuild, which runs one goroutine per shard.
 func (d *DB) SetPolicy(next *privacy.HousePolicy) (PolicyChange, error) {
 	change, lsn, err := d.setPolicyExclusive(next)
 	if err != nil {
@@ -822,23 +790,13 @@ func (d *DB) setPolicyExclusive(next *privacy.HousePolicy) (PolicyChange, uint64
 		From: d.policy.Name,
 		To:   next.Name,
 	}
-	if d.ledger != nil {
-		before := d.ledger.Summary()
-		d.policyVersion++
-		compiled := d.recompileShardsLocked(after)
-		d.ledger.RebuildCompiled(after, d.policyVersion, compiled)
-		afterSum := d.ledger.Summary()
-		change.DeltaPW = afterSum.PW - before.PW
-		change.DeltaPDefault = afterSum.PDefault - before.PDefault
-	} else {
-		d.policyVersion++
-		pop := d.populationShared()
-		bRep := d.assessor.AssessPopulationParallel(pop, len(d.shards))
-		aRep := after.AssessPopulationParallel(pop, len(d.shards))
-		d.recompileShardsLocked(after)
-		change.DeltaPW = aRep.PW - bRep.PW
-		change.DeltaPDefault = aRep.PDefault - bRep.PDefault
-	}
+	before := d.ledger.Summary()
+	d.policyVersion++
+	compiled := d.recompileShardsLocked(after)
+	d.ledger.RebuildCompiled(after, d.policyVersion, compiled)
+	afterSum := d.ledger.Summary()
+	change.DeltaPW = afterSum.PW - before.PW
+	change.DeltaPDefault = afterSum.PDefault - before.PDefault
 	d.assessor = after
 	d.policy = next
 	d.policyLog = append(d.policyLog, change)
@@ -862,9 +820,7 @@ func (d *DB) recompileShardsLocked(after *core.Assessor) map[string]*core.Compil
 		for _, k := range s.keys {
 			st := s.providers[k]
 			c := after.Compile(st.prefs)
-			if c != nil {
-				c.PrefsVersion = st.version
-			}
+			c.PrefsVersion = st.version
 			s.providers[k] = &providerState{prefs: st.prefs, compiled: c, version: st.version}
 			m[k] = c
 		}

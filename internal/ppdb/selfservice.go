@@ -2,6 +2,7 @@ package ppdb
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -27,7 +28,9 @@ type OwnRow struct {
 
 // ProviderView returns every row the provider has contributed, across all
 // registered tables, at full granularity — a provider's right of access is
-// not subject to the house policy (they are reading their own data).
+// not subject to the house policy (they are reading their own data). Rows
+// come back sorted by (table name, row id), so the answer is the same on
+// every call.
 func (d *DB) ProviderView(provider string) ([]OwnRow, error) {
 	key := strings.ToLower(provider)
 	d.mu.RLock()
@@ -35,22 +38,33 @@ func (d *DB) ProviderView(provider string) ([]OwnRow, error) {
 	if _, ok := d.lookupShared(key); !ok {
 		return nil, fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
+	names := make([]string, 0, len(d.tables))
+	for name := range d.tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var out []OwnRow
-	for name, tm := range d.tables {
+	for _, name := range names {
+		tm := d.tables[name]
+		var ids []relational.RowID
+		for id, meta := range tm.rows {
+			if meta.provider == key {
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) == 0 {
+			continue
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		schema := tm.table.Schema()
 		cols := make([]string, schema.Len())
 		for i := range cols {
 			cols[i] = schema.Column(i).Name
 		}
-		for id, meta := range tm.rows {
-			if meta.provider != key {
-				continue
+		for _, id := range ids {
+			if row, ok := tm.table.Get(id); ok {
+				out = append(out, OwnRow{Table: name, RowID: id, Columns: cols, Values: row})
 			}
-			row, ok := tm.table.Get(id)
-			if !ok {
-				continue
-			}
-			out = append(out, OwnRow{Table: name, RowID: id, Columns: cols, Values: row})
 		}
 	}
 	return out, nil
@@ -89,25 +103,18 @@ func (d *DB) UpdateOwnRow(provider, table string, id relational.RowID, row relat
 // SelfAudit returns the provider's personal violation report against the
 // current policy — w_i, Violation_i, default_i and every conflicting tuple
 // pair — the "continuously monitor the state of their privacy" capability.
-// With the ledger enabled the memoized row is returned in O(1); the
-// fallback re-assesses with the cached assessor.
+// It is the ledger's memoized row, read in O(1). A registration writes the
+// provider's ledger row in the same critical section that publishes the
+// provider (its shard lock, or d.mu held exclusively), and this read holds
+// d.mu shared, so a miss can only mean the provider is not registered.
 func (d *DB) SelfAudit(provider string) (core.ProviderReport, error) {
-	key := strings.ToLower(provider)
 	d.mu.RLock()
-	st, ok := d.stateShared(key)
-	assessor := d.assessor
-	if ok && d.ledger != nil {
-		if rep, hit := d.ledger.Report(key); hit {
-			d.mu.RUnlock()
-			return rep, nil
-		}
-	}
+	rep, ok := d.ledger.Report(strings.ToLower(provider))
 	d.mu.RUnlock()
 	if !ok {
 		return core.ProviderReport{}, fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
-	var sc core.Scratch
-	return assessor.AssessRow(st.prefs, st.compiled, &sc), nil
+	return rep, nil
 }
 
 // UpdatePreferences lets a provider revise their preference tuples (and

@@ -1,6 +1,7 @@
 package ppdb
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/privacy"
@@ -23,6 +24,52 @@ func TestProviderView(t *testing.T) {
 	}
 	if _, err := db.ProviderView("stranger"); err == nil {
 		t.Error("unregistered provider should fail")
+	}
+}
+
+// TestProviderViewDeterministic pins the self-service read order: a
+// provider's rows across two tables come back sorted by (table, row id),
+// identically on every call, whatever the map iteration order.
+func TestProviderViewDeterministic(t *testing.T) {
+	db := clinicDB(t)
+	schema, err := relational.NewSchema([]relational.Column{
+		{Name: "patient", Type: relational.TypeText},
+		{Name: "note", Type: relational.TypeInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterTable("visits", schema, "patient"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		for _, who := range []string{"alice", "bob"} {
+			if _, err := db.Insert("visits", who, relational.Row{relational.Text(who), relational.Int(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first, err := db.ProviderView("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 9 {
+		t.Fatalf("alice has %d rows, want 9 (1 patient + 8 visits)", len(first))
+	}
+	for i := 1; i < len(first); i++ {
+		a, b := first[i-1], first[i]
+		if a.Table > b.Table || (a.Table == b.Table && a.RowID >= b.RowID) {
+			t.Fatalf("rows %d and %d out of (table, row id) order: %s/%d then %s/%d", i-1, i, a.Table, a.RowID, b.Table, b.RowID)
+		}
+	}
+	for call := 0; call < 20; call++ {
+		got, err := db.ProviderView("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d returned a different answer than the first call", call)
+		}
 	}
 }
 

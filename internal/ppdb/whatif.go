@@ -37,10 +37,9 @@ var (
 // snapshot; concurrent registrations and policy swaps proceed untouched
 // and simply miss this evaluation's cut.
 //
-// Providers the diff cannot affect reuse their live reports; when the
-// incremental ledger is attached, a row memoized at exactly this
-// (policy, prefs) version is reused without any assessment at all, so a
-// narrow diff costs O(affected), not O(N). Shadow reports are keyed on a
+// Providers the diff cannot affect reuse their live reports: a ledger row
+// memoized at exactly this (policy, prefs) version is reused without any
+// assessment at all, so a narrow diff costs O(affected), not O(N). Shadow reports are keyed on a
 // shadow policy version (high bit set) no ledger row can ever carry.
 func (d *DB) WhatIf(req *whatif.Request) (*whatif.Response, error) {
 	start := time.Now()
@@ -75,13 +74,9 @@ func (d *DB) WhatIf(req *whatif.Request) (*whatif.Response, error) {
 		}
 		shards[i] = src
 	}
-	var memo whatif.Memo
-	if led != nil {
-		memo = func(si, i int) (core.ProviderReport, bool) {
-			return led.ReportIfCurrent(snaps[si].keys[i], policyVersion, snaps[si].states[i].version)
-		}
-	}
-	resp := eng.Evaluate(shards, memo)
+	resp := eng.Evaluate(shards, func(si, i int) (core.ProviderReport, bool) {
+		return led.ReportIfCurrent(snaps[si].keys[i], policyVersion, snaps[si].states[i].version)
+	})
 
 	switch resp.Verdict {
 	case whatif.VerdictFree:

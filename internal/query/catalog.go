@@ -74,7 +74,7 @@ type Source interface {
 	// insertion instant. ok is false for rows the store cannot attribute.
 	Origin(table string, id relational.RowID) (provider string, inserted time.Time, ok bool)
 	// Provider returns a registered provider's preferences and their
-	// compiled columns (nil when the policy is unmaskable).
+	// compiled columns (core.BindingFor recompiles nil or stale ones).
 	Provider(key string) (*privacy.Prefs, *core.CompiledPrefs, bool)
 	// Expired reports whether a datum inserted at t and granted retention
 	// level l is past its window on the store's clock.

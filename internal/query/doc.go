@@ -34,5 +34,5 @@
 // planner resolves each attribute to a core.PolicyTupleRef once, and the
 // executor folds preference minima via core.BindingFor — an id-indexed
 // walk over the provider's compiled columns with precomputed purpose cover
-// masks, falling back to the reference walk for unmaskable policies.
+// masks (a nil or stale row is recompiled first).
 package query
