@@ -16,6 +16,7 @@ import (
 	"repro/internal/population"
 	"repro/internal/privacy"
 	"repro/internal/relational"
+	"repro/internal/whatif"
 )
 
 func main() {
@@ -46,7 +47,12 @@ func main() {
 	proposed = proposed.Widen("broker-deal", "purchases", privacy.DimRetention, 1)
 
 	const baseU = 12.0 // margin per member per year
-	w, err := economics.Compare(current, proposed, sigma, core.Options{}, pop, baseU)
+	diff, err := whatif.DiffPolicies(current, proposed, sigma, sigma)
+	if err != nil {
+		log.Fatal(err)
+	}
+	w, err := whatif.EvaluateOffline(current, sigma, core.Options{}, pop,
+		&whatif.Request{Name: proposed.Name, Diff: diff, U: baseU})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +60,11 @@ func main() {
 	fmt.Printf("  current : P(W)=%.4f P(Default)=%.4f\n", w.Current.PW, w.Current.PDefault)
 	fmt.Printf("  proposed: P(W)=%.4f P(Default)=%.4f (%d members would walk)\n",
 		w.Proposed.PW, w.Proposed.PDefault, w.Proposed.DefaultCount)
-	fmt.Printf("  the broker must pay more than %.2f per member per year to break even (Eq. 31)\n\n", w.BreakEvenT)
+	if w.BreakEvenT != nil {
+		fmt.Printf("  the broker must pay more than %.2f per member per year to break even (Eq. 31)\n\n", *w.BreakEvenT)
+	} else {
+		fmt.Printf("  no payment breaks even: every member would walk (Eq. 31)\n\n")
+	}
 
 	// Meanwhile the release itself is k-anonymous — the external metric sees
 	// no problem with the very same deal.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/economics"
 	"repro/internal/population"
 	"repro/internal/privacy"
+	"repro/internal/whatif"
 )
 
 func main() {
@@ -73,12 +74,21 @@ func main() {
 	const baseU = 4.0 // ad revenue per member per quarter
 	fmt.Println("\ntransition pricing (Eq. 31):")
 	for i := 1; i < len(versions); i++ {
-		w, err := economics.Compare(versions[i-1], versions[i], sigma, core.Options{}, pop, baseU)
+		diff, err := whatif.DiffPolicies(versions[i-1], versions[i], sigma, sigma)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %s → %s: ΔP(Default)=%+.4f, adopt only if extra utility per member T > %.3f\n",
-			versions[i-1].Name, versions[i].Name, w.DeltaPDefault, w.BreakEvenT)
+		w, err := whatif.EvaluateOffline(versions[i-1], sigma, core.Options{}, pop,
+			&whatif.Request{Name: versions[i].Name, Diff: diff, U: baseU})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %s → %s: ΔP(Default)=%+.4f, ", versions[i-1].Name, versions[i].Name, w.DeltaPDefault)
+		if w.BreakEvenT != nil {
+			fmt.Printf("adopt only if extra utility per member T > %.3f\n", *w.BreakEvenT)
+		} else {
+			fmt.Printf("no extra utility pays: every member would default\n")
+		}
 	}
 
 	// Run the transitions as an expansion scenario where defaulted members

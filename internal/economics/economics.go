@@ -1,9 +1,11 @@
 // Package economics implements Sec. 9 of the paper: the utility calculus of
 // widening a house privacy policy. Widening raises per-provider utility by T
 // but violates more preferences, causing defaults; the expansion pays only
-// while Utility_future > Utility_current (Eqs. 25-31). The package also
-// provides the what-if engine Sec. 10 sketches: evaluate a hypothetical
-// policy against a population before adopting it.
+// while Utility_future > Utility_current (Eqs. 25-31). Scenario runs a
+// sequence of widening steps in which defaulted providers leave. Pricing a
+// single candidate policy against a population before adopting it — the
+// Sec. 10 what-if — is internal/whatif, which uses BreakEvenT and
+// Justified from here.
 package economics
 
 import (
@@ -299,38 +301,4 @@ func survivors(s *Scenario, policy *privacy.HousePolicy, pop []*privacy.Prefs) [
 		}
 	}
 	return out
-}
-
-// WhatIf compares the current policy with a hypothetical one over the same
-// population: the Sec. 10 "what-if scenarios that modify a house's privacy
-// policies with respect to data provider default".
-type WhatIf struct {
-	Current, Proposed core.PopulationReport
-	// DeltaPW and DeltaPDefault are proposed − current.
-	DeltaPW, DeltaPDefault float64
-	// BreakEvenT is Eq. 31 for the provider loss the proposal would cause
-	// at base utility U (set by Compare).
-	BreakEvenT float64
-}
-
-// Compare assesses both policies against pop at base utility u.
-func Compare(current, proposed *privacy.HousePolicy, attrSens privacy.AttributeSensitivities,
-	opts core.Options, pop []*privacy.Prefs, u float64) (*WhatIf, error) {
-	ca, err := core.NewAssessor(current, attrSens, opts)
-	if err != nil {
-		return nil, err
-	}
-	pa, err := core.NewAssessor(proposed, attrSens, opts)
-	if err != nil {
-		return nil, err
-	}
-	w := &WhatIf{
-		Current:  ca.AssessPopulation(pop),
-		Proposed: pa.AssessPopulation(pop),
-	}
-	w.DeltaPW = w.Proposed.PW - w.Current.PW
-	w.DeltaPDefault = w.Proposed.PDefault - w.Current.PDefault
-	nFuture := w.Proposed.N - w.Proposed.DefaultCount
-	w.BreakEvenT = BreakEvenT(u, w.Current.N-w.Current.DefaultCount, nFuture)
-	return w, nil
 }

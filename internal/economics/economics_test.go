@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/population"
 	"repro/internal/privacy"
 )
@@ -150,33 +149,6 @@ func TestScenarioErrors(t *testing.T) {
 func TestOptimalStepEmpty(t *testing.T) {
 	if OptimalStep(nil) != -1 {
 		t.Error("empty series should return -1")
-	}
-}
-
-func TestWhatIfCompare(t *testing.T) {
-	sc, pop := scenarioFixture(t)
-	wide := sc.BasePolicy.Widen("wide", "weight", privacy.DimGranularity, 1)
-	w, err := Compare(sc.BasePolicy, wide, sc.AttrSens, core.Options{}, pop, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Current.PW != 0 {
-		t.Errorf("current PW = %g", w.Current.PW)
-	}
-	if math.Abs(w.DeltaPW-2.0/3.0) > 1e-12 {
-		t.Errorf("ΔPW = %g", w.DeltaPW)
-	}
-	if math.Abs(w.DeltaPDefault-1.0/3.0) > 1e-12 {
-		t.Errorf("ΔPDefault = %g", w.DeltaPDefault)
-	}
-	if math.Abs(w.BreakEvenT-5) > 1e-12 {
-		t.Errorf("BreakEvenT = %g", w.BreakEvenT)
-	}
-	if _, err := Compare(nil, wide, sc.AttrSens, core.Options{}, pop, 10); err == nil {
-		t.Error("nil current policy should fail")
-	}
-	if _, err := Compare(sc.BasePolicy, nil, sc.AttrSens, core.Options{}, pop, 10); err == nil {
-		t.Error("nil proposed policy should fail")
 	}
 }
 

@@ -13,16 +13,16 @@
 // hash of the canonical provider key (core.ShardIndex). Each shard owns its
 // lock, its memo table, its sorted key list and its running core.Partial,
 // so point upserts on different shards never contend, and the bulk paths —
-// UpsertBatch (cold loads) and Rebuild (policy swaps) — run one goroutine
-// per shard.
+// UpsertBatch (cold loads) and RebuildCompiled (policy swaps) — run one
+// goroutine per shard.
 //
 // Invalidation rules:
 //
 //   - a provider's row is recomputed when its prefs version changes
 //     (self-service edit, re-registration) — O(1) per edit, one shard lock;
 //   - a policy swap bumps the policy version and invalidates every row —
-//     Rebuild re-assesses the whole population, one goroutine per shard
-//     (a cold rebuild, also used for load-from-disk);
+//     RebuildCompiled re-assesses the whole population, one goroutine per
+//     shard (a cold rebuild, also used for load-from-disk);
 //   - a removal subtracts the provider's contribution from its shard.
 //
 // Exactness: the integer aggregates (N, violated, defaulted — and hence
@@ -89,12 +89,12 @@ type shard struct {
 }
 
 // Ledger is the sharded materialized violation view. Safe for concurrent
-// use: point operations lock one shard, structural operations (Rebuild)
-// take the top-level lock exclusively.
+// use: point operations lock one shard, structural operations
+// (RebuildCompiled) take the top-level lock exclusively.
 type Ledger struct {
 	// mu guards assessor and policyVersion. Point operations hold it
-	// shared (so the policy cannot swap mid-upsert); Rebuild holds it
-	// exclusively. Lock order is always mu before shard.mu.
+	// shared (so the policy cannot swap mid-upsert); RebuildCompiled holds
+	// it exclusively. Lock order is always mu before shard.mu.
 	mu sync.RWMutex
 
 	assessor      *core.Assessor
@@ -164,33 +164,21 @@ func (l *Ledger) shardOf(key string) *shard {
 	return l.shards[core.ShardIndex(key, len(l.shards))]
 }
 
-// PolicyVersion returns the policy counter the rows are keyed on.
-func (l *Ledger) PolicyVersion() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.policyVersion
-}
-
 // Len returns the number of materialized providers.
 func (l *Ledger) Len() int {
 	return int(l.rows.Load())
 }
 
-// Upsert applies one provider registration or preference edit: if the
-// memoized row already matches (policy version, prefs version) it is
+// UpsertCompiled applies one provider registration or preference edit: if
+// the memoized row already matches (policy version, prefs version) it is
 // returned untouched; otherwise the provider is re-assessed — O(1), the
 // delta apply — and the shard's aggregates are adjusted. Only the
 // provider's shard is locked, so edits on different shards run in
-// parallel.
-func (l *Ledger) Upsert(key string, prefs *privacy.Prefs, prefsVersion uint64) core.ProviderReport {
-	return l.UpsertCompiled(key, prefs, nil, prefsVersion)
-}
-
-// UpsertCompiled is Upsert with the provider's columnar tuple columns
-// supplied by the caller (internal/ppdb compiles them once per registration
-// and shares them with its own store). A memo miss runs the columnar kernel
-// in the shard's scratch arena; a nil or stale compiled value is recompiled
-// first (core.Assessor.AssessRow), so the result is identical either way.
+// parallel. The caller supplies the provider's columnar tuple columns
+// (internal/ppdb compiles them once per registration and shares them with
+// its own store); a memo miss runs the columnar kernel in the shard's
+// scratch arena, and a nil or stale compiled value is recompiled first
+// (core.Assessor.AssessRow), so the result is identical either way.
 func (l *Ledger) UpsertCompiled(key string, prefs *privacy.Prefs, compiled *core.CompiledPrefs, prefsVersion uint64) core.ProviderReport {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -254,20 +242,14 @@ func (l *Ledger) Remove(key string) bool {
 	return true
 }
 
-// Rebuild invalidates every row against a new assessor (policy swap) and
-// re-assesses the whole population, one goroutine per shard. Each shard's
-// aggregates are re-summed from scratch in its sorted key order.
-//
-//lint:deterministic rebuilt aggregates must match a from-scratch assessment bit-for-bit
-func (l *Ledger) Rebuild(a *core.Assessor, policyVersion uint64) {
-	l.RebuildCompiled(a, policyVersion, nil)
-}
-
-// RebuildCompiled is Rebuild with provider tuple columns recompiled against
-// the new assessor supplied by the caller (internal/ppdb recompiles its
-// store during SetPolicy and hands the same columns here, so the population
-// is compiled once, not twice). Keys missing from compiled — or a nil map —
-// are recompiled per row by core.Assessor.AssessRow; results are identical.
+// RebuildCompiled invalidates every row against a new assessor (policy
+// swap) and re-assesses the whole population, one goroutine per shard.
+// Each shard's aggregates are re-summed from scratch in its sorted key
+// order. The caller supplies provider tuple columns recompiled against the
+// new assessor (internal/ppdb recompiles its store during SetPolicy and
+// hands the same columns here, so the population is compiled once, not
+// twice). Keys missing from compiled — or a nil map — are recompiled per
+// row by core.Assessor.AssessRow; results are identical.
 //
 //lint:deterministic rebuilt aggregates must match a from-scratch assessment bit-for-bit
 func (l *Ledger) RebuildCompiled(a *core.Assessor, policyVersion uint64, compiled map[string]*core.CompiledPrefs) {
@@ -359,24 +341,8 @@ func (l *Ledger) Summary() Summary {
 func (l *Ledger) Snapshot() core.PopulationReport {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	keys, rows := l.mergedRowsLocked()
-	_ = keys
-	return core.AssemblePopulation(rows)
-}
-
-// WouldDefault lists the providers whose Violation_i exceeds their
-// threshold, in global sorted key order.
-func (l *Ledger) WouldDefault() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	_, rows := l.mergedRowsLocked()
-	var out []string
-	for i := range rows {
-		if rows[i].Defaults {
-			out = append(out, rows[i].Provider)
-		}
-	}
-	return out
+	return core.AssemblePopulation(rows)
 }
 
 // mergedRowsLocked snapshots every shard (RLock per shard) and merges the

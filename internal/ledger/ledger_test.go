@@ -59,7 +59,7 @@ func TestSnapshotMatchesFullAssessment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pop {
-		l.Upsert(p.Provider, p, uint64(i+1))
+		l.UpsertCompiled(p.Provider, p, nil, uint64(i+1))
 	}
 	want := a.AssessPopulation(sortedPop(pop))
 	got := l.Snapshot()
@@ -90,7 +90,7 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 	version := uint64(0)
 	for _, p := range pop {
 		version++
-		l.Upsert(p.Provider, p, version)
+		l.UpsertCompiled(p.Provider, p, nil, version)
 	}
 
 	// Edit a third of the population with fresh tuples (new generator seed,
@@ -104,7 +104,7 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 	for i, p := range edited {
 		if i%3 == 0 {
 			version++
-			l.Upsert(p.Provider, p, version)
+			l.UpsertCompiled(p.Provider, p, nil, version)
 			live[p.Provider] = p
 		}
 	}
@@ -155,15 +155,15 @@ func TestUpsertMemoizes(t *testing.T) {
 	quiet.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 4, Granularity: 4, Retention: 4})
 	quiet.Add("income", privacy.Tuple{Purpose: "service", Visibility: 4, Granularity: 4, Retention: 4})
 
-	first := l.Upsert("ada", loud, 1)
+	first := l.UpsertCompiled("ada", loud, nil, 1)
 	if !first.Violated {
 		t.Fatal("zero-tuple prefs under a level-2 policy must be violated")
 	}
-	cached := l.Upsert("ada", quiet, 1) // same version: must NOT re-assess
+	cached := l.UpsertCompiled("ada", quiet, nil, 1) // same version: must NOT re-assess
 	if !reflect.DeepEqual(cached, first) {
 		t.Error("matching versions should return the memoized report")
 	}
-	fresh := l.Upsert("ada", quiet, 2) // bumped version: must re-assess
+	fresh := l.UpsertCompiled("ada", quiet, nil, 2) // bumped version: must re-assess
 	if fresh.Violated {
 		t.Error("version bump should have recomputed against the new prefs")
 	}
@@ -182,12 +182,12 @@ func TestRebuildSwapsPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pop {
-		l.Upsert(p.Provider, p, uint64(i+1))
+		l.UpsertCompiled(p.Provider, p, nil, uint64(i+1))
 	}
 	a2, _ := testAssessor(t, 19, 4) // maximally wide: strictly more violations
-	l.Rebuild(a2, 2)
-	if l.PolicyVersion() != 2 {
-		t.Errorf("policy version = %d, want 2", l.PolicyVersion())
+	l.RebuildCompiled(a2, 2, nil)
+	if v := l.Summary().PolicyVersion; v != 2 {
+		t.Errorf("policy version = %d, want 2", v)
 	}
 	want := a2.AssessPopulation(sortedPop(pop))
 	got := l.Snapshot()
@@ -224,7 +224,7 @@ func TestUpsertBatchMatchesSequential(t *testing.T) {
 	}
 	items := make([]Item, len(pop))
 	for i, p := range pop {
-		serial.Upsert(p.Provider, p, uint64(i+1))
+		serial.UpsertCompiled(p.Provider, p, nil, uint64(i+1))
 		items[i] = Item{Key: p.Provider, Prefs: p, Version: uint64(i + 1)}
 	}
 	batch.UpsertBatch(items)
@@ -233,8 +233,8 @@ func TestUpsertBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestWouldDefaultSorted checks the defaulting set is emitted in sorted
-// key order.
+// TestWouldDefaultSorted checks the snapshot lists the defaulting
+// providers in sorted key order.
 func TestWouldDefaultSorted(t *testing.T) {
 	a, _ := testAssessor(t, 5, 4)
 	l, err := New(a, 1)
@@ -244,12 +244,17 @@ func TestWouldDefaultSorted(t *testing.T) {
 	for _, name := range []string{"zoe", "ada", "mel"} {
 		p := privacy.NewPrefs(name, 0) // any positive violation defaults
 		p.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
-		l.Upsert(name, p, 1)
+		l.UpsertCompiled(name, p, nil, 1)
 	}
-	got := l.WouldDefault()
+	var got []string
+	for _, pr := range l.Snapshot().Providers {
+		if pr.Defaults {
+			got = append(got, pr.Provider)
+		}
+	}
 	want := []string{"ada", "mel", "zoe"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("WouldDefault = %v, want %v", got, want)
+		t.Errorf("defaulting providers = %v, want %v", got, want)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestMetricsCounters(t *testing.T) {
 	applies0, rebuilds0 := mDeltaApplies.Value(), mRebuilds.Value()
 
 	for i, p := range pop {
-		l.Upsert(p.Provider, p, uint64(i+1))
+		l.UpsertCompiled(p.Provider, p, nil, uint64(i+1))
 	}
 	if got := mMemoMisses.Value() - misses0; got != 10 {
 		t.Errorf("first-time upserts: misses moved %d, want 10", got)
@@ -33,7 +33,7 @@ func TestMetricsCounters(t *testing.T) {
 
 	// Same versions again: pure memo hits, no new applies.
 	for i, p := range pop {
-		l.Upsert(p.Provider, p, uint64(i+1))
+		l.UpsertCompiled(p.Provider, p, nil, uint64(i+1))
 	}
 	if got := mMemoHits.Value() - hits0; got != 10 {
 		t.Errorf("repeat upserts: hits moved %d, want 10", got)
@@ -43,7 +43,7 @@ func TestMetricsCounters(t *testing.T) {
 	}
 
 	// A version bump is a miss + apply.
-	l.Upsert(pop[0].Provider, pop[0], 99)
+	l.UpsertCompiled(pop[0].Provider, pop[0], nil, 99)
 	if got := mMemoMisses.Value() - misses0; got != 11 {
 		t.Errorf("version bump: misses moved %d, want 11", got)
 	}
@@ -58,7 +58,7 @@ func TestMetricsCounters(t *testing.T) {
 		t.Errorf("batch: misses moved %d, want 21", got)
 	}
 	a2, _ := testAssessor(t, 11, 1)
-	l.Rebuild(a2, 2)
+	l.RebuildCompiled(a2, 2, nil)
 	if got := mRebuilds.Value() - rebuilds0; got != 1 {
 		t.Errorf("rebuilds moved %d, want 1", got)
 	}

@@ -39,7 +39,7 @@ func TestConcurrentLedger(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				p := edits[(w*rounds+i)%len(edits)]
-				l.Upsert(p.Provider, p, uint64(1000+w*rounds+i))
+				l.UpsertCompiled(p.Provider, p, nil, uint64(1000+w*rounds+i))
 			}
 		}(w)
 	}
@@ -50,7 +50,7 @@ func TestConcurrentLedger(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			p := pop[i%7]
 			l.Remove(p.Provider)
-			l.Upsert(p.Provider, p, uint64(5000+i))
+			l.UpsertCompiled(p.Provider, p, nil, uint64(5000+i))
 		}
 	}()
 	// Rebuilder: swap policy back and forth.
@@ -59,9 +59,9 @@ func TestConcurrentLedger(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
 			if i%2 == 0 {
-				l.Rebuild(a2, uint64(2+i))
+				l.RebuildCompiled(a2, uint64(2+i), nil)
 			} else {
-				l.Rebuild(a1, uint64(2+i))
+				l.RebuildCompiled(a1, uint64(2+i), nil)
 			}
 		}
 	}()
@@ -74,7 +74,6 @@ func TestConcurrentLedger(t *testing.T) {
 				_ = l.Summary()
 				_ = l.Snapshot()
 				_, _ = l.Report(fmt.Sprintf("provider-%04d", i%len(pop)))
-				_ = l.WouldDefault()
 				_ = l.Len()
 			}
 		}(w)
@@ -84,7 +83,7 @@ func TestConcurrentLedger(t *testing.T) {
 	// Quiesced: one final rebuild pins every row to a1, and the view must
 	// match assessing whatever population survived (white-box: read the
 	// surviving prefs straight out of the entries, in key order).
-	l.Rebuild(a1, 100)
+	l.RebuildCompiled(a1, 100, nil)
 	snap := l.Snapshot()
 	l.mu.RLock()
 	keys, _ := l.mergedRowsLocked()

@@ -504,13 +504,9 @@ func loadSnapshot(dir string, cfg Config) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := relational.Parse(string(schemaSQL))
+		create, err := relational.ParseCreateTable(string(schemaSQL))
 		if err != nil {
 			return nil, fmt.Errorf("ppdb: load schema %s: %w", name, err)
-		}
-		create, ok := st.(relational.CreateTableStmt)
-		if !ok {
-			return nil, fmt.Errorf("ppdb: schema file for %s is not a CREATE TABLE", name)
 		}
 		schema, err := relational.NewSchema(create.Cols)
 		if err != nil {

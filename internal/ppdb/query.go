@@ -136,21 +136,20 @@ func (e *CatalogError) Unwrap() error { return e.Err }
 // attempt — allowed or refused — lands in the audit log.
 func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 	start := time.Now()
-	d.mu.RLock()
-	cat := query.NewCatalog()
-	var bindErr error
-	for _, tm := range d.tables {
-		if err := cat.Bind(tm.table, tm.providerCol, nil); err != nil {
-			bindErr = &CatalogError{Err: err}
-			break
-		}
-	}
 	var res *query.Result
-	var err error
-	if bindErr != nil {
-		err = bindErr
-	} else {
+	var at time.Time
+	err := func() error {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		at = d.now
+		cat := query.NewCatalog()
+		for _, tm := range d.tables {
+			if err := cat.Bind(tm.table, tm.providerCol, nil); err != nil {
+				return &CatalogError{Err: err}
+			}
+		}
 		eng := query.New(cat, d.assessor, enforceSource{d: d})
+		var err error
 		res, err = eng.Query(query.Request{
 			Requester:  q.Requester,
 			Purpose:    q.Purpose,
@@ -158,9 +157,8 @@ func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 			SQL:        q.SQL,
 			Explain:    q.Explain,
 		})
-	}
-	at := d.now
-	d.mu.RUnlock()
+		return err
+	}()
 	mQuerySeconds.Observe(time.Since(start).Seconds())
 
 	if err != nil {

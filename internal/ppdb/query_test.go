@@ -656,3 +656,45 @@ func TestQueryEnforcedCatalogError(t *testing.T) {
 		t.Fatalf("error should name the missing column: %v", err)
 	}
 }
+
+// TestQueryLimitOverflowKeepsStoreWritable checks that a LIMIT at the top
+// of the integer range answers from the offset, and that the store stays
+// writable afterwards: a query must never leave the read lock held, or
+// every later registration would block behind it.
+func TestQueryLimitOverflowKeepsStoreWritable(t *testing.T) {
+	db := clinicDB(t)
+	var res *query.Result
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("query panicked: %v", r)
+			}
+		}()
+		res, err = db.QueryEnforced(EnforcedQuery{
+			Requester: "nurse", Purpose: "care", Visibility: 2,
+			SQL: "SELECT patient FROM patients ORDER BY patient LIMIT 9223372036854775807 OFFSET 1",
+		})
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != nil && (len(res.Rows) != 1 || res.Rows[0][0].Display() != "bob") {
+		t.Errorf("rows = %v, want [bob]", res.Rows)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		carol := privacy.NewPrefs("carol", 10)
+		carol.Add("weight", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
+		done <- db.RegisterProviders([]*privacy.Prefs{carol})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RegisterProviders still blocked 5s after the query: the read lock leaked")
+	}
+}

@@ -11,11 +11,12 @@
 //     (the column name itself by default).
 //   - The planner (plan.go) parses the SELECT, refuses constructs whose
 //     cells cannot be attributed to a single (provider, attribute) pair
-//     (joins, aggregates, DISTINCT, grouping, subqueries, computed
-//     projections), and resolves every referenced attribute to its
-//     governing policy tuple for the request purpose — refusing purposes
-//     the policy never stated and requester classes the policy does not
-//     admit. The index shortcut is declined for columns whose attribute
+//     (the parser refuses joins, aggregates, DISTINCT, grouping and
+//     subqueries by name; the planner maps that to UnenforceableError
+//     and refuses computed projections itself), and resolves every
+//     referenced attribute to its governing policy tuple for the request
+//     purpose — refusing purposes the policy never stated and requester
+//     classes the policy does not admit. The index shortcut is declined for columns whose attribute
 //     generalizes (Source.HasHierarchy): the index matches raw values,
 //     and the physical plan must not change the relation.
 //   - The executor (exec.go) scans the base table and materializes, per

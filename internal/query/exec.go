@@ -102,7 +102,7 @@ func (e *Engine) run(p *plan) (*Result, error) {
 		lo = len(rows)
 	}
 	hi := len(rows)
-	if p.limit >= 0 && lo+p.limit < hi {
+	if p.limit >= 0 && p.limit < hi-lo { // not lo+limit < hi: that overflows
 		hi = lo + p.limit
 	}
 	res.Rows = make([][]relational.Value, 0, hi-lo)

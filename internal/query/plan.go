@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -58,22 +59,13 @@ type plan struct {
 // conformant, *DeniedError for purpose/visibility refusals, and plain
 // errors for malformed input.
 func (e *Engine) Plan(req Request) (*plan, error) {
-	st, err := relational.Parse(req.SQL)
+	sel, err := relational.Parse(req.SQL)
 	if err != nil {
+		var un *relational.UnsupportedError
+		if errors.As(err, &un) {
+			return nil, &UnenforceableError{Construct: un.Construct, Reason: refusalReason(un.Construct)}
+		}
 		return nil, err
-	}
-	sel, ok := st.(relational.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("query: only SELECT is allowed through the enforced path")
-	}
-	if len(sel.Joins) > 0 {
-		return nil, &UnenforceableError{Construct: "JOIN", Reason: "joined cells cannot be attributed to a single provider row"}
-	}
-	if sel.Distinct {
-		return nil, &UnenforceableError{Construct: "DISTINCT", Reason: "deduplication mixes cells across providers"}
-	}
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return nil, &UnenforceableError{Construct: "GROUP BY", Reason: "grouped cells aggregate across providers"}
 	}
 
 	b, ok := e.cat.Lookup(sel.From.Table)
@@ -157,7 +149,7 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 	}
 
 	// WHERE and ORDER BY may use expressions, but only over resolvable
-	// columns — and never aggregates or subqueries.
+	// columns (the parser already refused aggregates and subqueries).
 	if sel.Where != nil {
 		if err := collectCols(sel.Where, resolve); err != nil {
 			return nil, err
@@ -198,6 +190,25 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 	return p, nil
 }
 
+// refusalReason says why a construct the parser refuses by name cannot be
+// enforced per datum.
+func refusalReason(construct string) string {
+	switch construct {
+	case "JOIN":
+		return "joined cells cannot be attributed to a single provider row"
+	case "DISTINCT":
+		return "deduplication mixes cells across providers"
+	case "GROUP BY", "HAVING":
+		return "grouped cells aggregate across providers"
+	case "COUNT(…)", "SUM(…)", "AVG(…)", "MIN(…)", "MAX(…)":
+		return "aggregates mix cells across providers"
+	case "(SELECT …)":
+		return "subqueries read data outside the gated table"
+	default:
+		return "the enforced grammar does not read it"
+	}
+}
+
 // collectCols walks an expression, resolving every column reference and
 // rejecting nodes whose evaluation cannot be attributed per datum.
 func collectCols(ex relational.Expr, resolve func(string, bool) (int, error)) error {
@@ -226,10 +237,6 @@ func collectCols(ex relational.Expr, resolve func(string, bool) (int, error)) er
 			}
 		}
 		return nil
-	case relational.InSubquery:
-		return &UnenforceableError{Construct: "IN (SELECT …)", Reason: "subqueries read data outside the gated table"}
-	case relational.Agg:
-		return &UnenforceableError{Construct: x.String(), Reason: "aggregates mix cells across providers"}
 	default:
 		return &UnenforceableError{Construct: ex.String(), Reason: "unsupported expression"}
 	}

@@ -626,6 +626,44 @@ func TestPlannerGates(t *testing.T) {
 	})
 }
 
+// TestRefusalReasons checks that each construct the parser refuses by name
+// surfaces as an *UnenforceableError naming it with its reason, before any
+// table or column is resolved: an unknown table does not turn a refusal
+// into invalid input.
+func TestRefusalReasons(t *testing.T) {
+	fx := newFixture(t)
+	const (
+		joinReason     = "joined cells cannot be attributed to a single provider row"
+		groupReason    = "grouped cells aggregate across providers"
+		aggReason      = "aggregates mix cells across providers"
+		subqueryReason = "subqueries read data outside the gated table"
+	)
+	for _, tc := range []struct{ sql, construct, reason string }{
+		{"SELECT a FROM nowhere x JOIN elsewhere y ON x.a = y.a", "JOIN", joinReason},
+		{"SELECT a FROM nowhere INNER JOIN elsewhere ON a = b", "JOIN", joinReason},
+		{"SELECT DISTINCT a FROM nowhere", "DISTINCT", "deduplication mixes cells across providers"},
+		{"SELECT a FROM nowhere GROUP BY a", "GROUP BY", groupReason},
+		{"SELECT a FROM nowhere HAVING a > 1", "HAVING", groupReason},
+		{"SELECT COUNT(*) FROM nowhere", "COUNT(…)", aggReason},
+		{"SELECT a FROM nowhere WHERE b > SUM(b)", "SUM(…)", aggReason},
+		{"SELECT AVG(a) FROM nowhere", "AVG(…)", aggReason},
+		{"SELECT a FROM nowhere ORDER BY MIN(a)", "MIN(…)", aggReason},
+		{"SELECT MAX(a) FROM nowhere", "MAX(…)", aggReason},
+		{"SELECT a FROM nowhere WHERE a IN (SELECT a FROM people)", "(SELECT …)", subqueryReason},
+		{"SELECT a FROM nowhere WHERE a = (SELECT 1)", "(SELECT …)", subqueryReason},
+	} {
+		_, err := fx.eng.Query(Request{Requester: "a", Purpose: "service", Visibility: 0, SQL: tc.sql})
+		unenf, ok := err.(*UnenforceableError)
+		if !ok {
+			t.Errorf("%s: expected *UnenforceableError, got %T: %v", tc.sql, err, err)
+			continue
+		}
+		if unenf.Construct != tc.construct || unenf.Reason != tc.reason {
+			t.Errorf("%s: refused %q (%s), want %q (%s)", tc.sql, unenf.Construct, unenf.Reason, tc.construct, tc.reason)
+		}
+	}
+}
+
 // TestUncompiledProviderPath runs the same query with nil compiled columns
 // and checks the reference fallback produces the identical answer.
 func TestUncompiledProviderPath(t *testing.T) {

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -118,6 +120,28 @@ func TestIndexAssistedEquality(t *testing.T) {
 	}
 	if got := serviceRows(t, fx, "SELECT id FROM people WHERE city = 'nowhere'"); len(got) != 0 {
 		t.Errorf("no-match lookup = %v", got)
+	}
+}
+
+// TestLimitOffsetOverflow checks that a LIMIT at the top of the integer
+// range, where offset + limit overflows, still answers the rows from the
+// offset instead of panicking while sizing the answer window.
+func TestLimitOffsetOverflow(t *testing.T) {
+	fx := newFixture(t)
+	var got []string
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("query panicked: %v", r)
+			}
+		}()
+		got = serviceRows(t, fx, fmt.Sprintf("SELECT provider FROM people ORDER BY id LIMIT %d OFFSET 1", math.MaxInt64))
+	}()
+	if want := []string{"bob", "carol", "dave", "frank"}; !eqStrings(got, want) {
+		t.Fatalf("rows = %v, want %v", got, want)
+	}
+	if got := serviceRows(t, fx, fmt.Sprintf("SELECT provider FROM people ORDER BY id LIMIT %d OFFSET %d", math.MaxInt64, math.MaxInt64)); len(got) != 0 {
+		t.Fatalf("offset past end = %v, want none", got)
 	}
 }
 

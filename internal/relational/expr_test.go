@@ -184,4 +184,8 @@ func TestExprStrings(t *testing.T) {
 			t.Errorf("re-parse of %q (from %q): %v", s, src, err)
 		}
 	}
+	// Out-of-range enum values still render.
+	if Kind(99).String() == "" || BinOp(99).String() == "" || ColType(99).String() == "" {
+		t.Error("fallback String forms must be non-empty")
+	}
 }

@@ -2,31 +2,29 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Statement is a parsed SQL statement.
-type Statement interface{ stmt() }
+// The grammar reads exactly two statements: the single-table SELECT the
+// enforced path runs, and the CREATE TABLE a snapshot's schema file holds.
+//
+//	select  := SELECT item (, item)* FROM table [[AS] alias]
+//	           [WHERE expr] [ORDER BY expr [ASC|DESC] (, …)*]
+//	           [LIMIT n] [OFFSET n] [;]
+//	item    := * | expr [AS name]
+//	create  := CREATE TABLE name ( col type [PRIMARY KEY] [NOT NULL] (, …)* ) [;]
+//
+// Constructs whose answer cells mix data across rows — DISTINCT, JOIN,
+// GROUP BY, HAVING, aggregate calls and subqueries — are recognised on
+// sight and refused with an *UnsupportedError naming them; no tree is
+// built for them. Every other deviation is a plain parse error.
 
-// CreateTableStmt creates a table.
+// CreateTableStmt is a parsed CREATE TABLE.
 type CreateTableStmt struct {
-	Name        string
-	Cols        []Column
-	IfNotExists bool
-}
-
-// DropTableStmt drops a table.
-type DropTableStmt struct {
-	Name     string
-	IfExists bool
-}
-
-// InsertStmt inserts one or more rows.
-type InsertStmt struct {
-	Table string
-	Cols  []string // empty = schema order
-	Rows  [][]Expr
+	Name string
+	Cols []Column
 }
 
 // SelectItem is one projection: an expression with an optional alias, or *.
@@ -36,16 +34,11 @@ type SelectItem struct {
 	Alias string
 }
 
-// FromItem is one table reference with an optional alias.
+// FromItem is the table reference with its alias (the table name itself
+// when none is given).
 type FromItem struct {
 	Table string
 	Alias string
-}
-
-// JoinClause is an INNER JOIN with its ON condition.
-type JoinClause struct {
-	Right FromItem
-	On    Expr
 }
 
 // OrderItem is one ORDER BY key.
@@ -54,142 +47,76 @@ type OrderItem struct {
 	Desc bool
 }
 
-// SelectStmt is a SELECT query.
+// SelectStmt is a single-table SELECT.
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	From     FromItem
-	Joins    []JoinClause
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderItem
-	Limit    int // -1 = none
-	Offset   int
+	Items   []SelectItem
+	From    FromItem
+	Where   Expr
+	OrderBy []OrderItem
+	Limit   int // -1 = none
+	Offset  int
 }
 
-// UpdateStmt updates rows.
-type UpdateStmt struct {
-	Table string
-	Sets  []SetClause
-	Where Expr
+// UnsupportedError reports a construct the grammar recognises but does not
+// read. Construct names it as it is spelled in SQL: "DISTINCT", "JOIN",
+// "GROUP BY", "HAVING", "COUNT(…)", "SUM(…)", "AVG(…)", "MIN(…)", "MAX(…)"
+// or "(SELECT …)".
+type UnsupportedError struct {
+	Construct string
 }
 
-// SetClause is one column assignment in UPDATE.
-type SetClause struct {
-	Col  string
-	Expr Expr
+// Error implements error.
+func (e *UnsupportedError) Error() string {
+	return fmt.Sprintf("relational: %s is not supported", e.Construct)
 }
 
-// DeleteStmt deletes rows.
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
-func (CreateTableStmt) stmt() {}
-func (DropTableStmt) stmt()   {}
-func (InsertStmt) stmt()      {}
-func (SelectStmt) stmt()      {}
-func (UpdateStmt) stmt()      {}
-func (DeleteStmt) stmt()      {}
-
-// AggFn enumerates aggregate functions.
-type AggFn int
-
-// Aggregate functions.
-const (
-	AggCount AggFn = iota
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
-)
-
-// String names the aggregate.
-func (f AggFn) String() string {
-	switch f {
-	case AggCount:
-		return "COUNT"
-	case AggSum:
-		return "SUM"
-	case AggAvg:
-		return "AVG"
-	case AggMin:
-		return "MIN"
-	case AggMax:
-		return "MAX"
-	default:
-		return fmt.Sprintf("AGG(%d)", int(f))
-	}
-}
-
-// InSubquery is `x [NOT] IN (SELECT …)` with an uncorrelated subquery. It
-// is parsed so the enforced planner can refuse it by name; evaluating the
-// node row-wise is an error.
-type InSubquery struct {
-	Not   bool
-	X     Expr
-	Query SelectStmt
-}
-
-// Eval implements Expr; unresolved subqueries cannot evaluate row-wise.
-func (q InSubquery) Eval(Env) (Value, error) {
-	return Null(), fmt.Errorf("relational: unresolved IN (SELECT …) subquery")
-}
-
-// String implements Expr.
-func (q InSubquery) String() string {
-	op := "IN"
-	if q.Not {
-		op = "NOT IN"
-	}
-	return fmt.Sprintf("(%s %s (SELECT …))", q.X, op)
-}
-
-// Agg is an aggregate call inside a SELECT item. It is parsed so the
-// enforced planner can refuse it by name; Eval is always an error.
-type Agg struct {
-	Fn   AggFn
-	Star bool // COUNT(*)
-	Arg  Expr
-}
-
-// Eval implements Expr; aggregates cannot evaluate row-wise.
-func (a Agg) Eval(Env) (Value, error) {
-	return Null(), fmt.Errorf("relational: aggregate %s used outside grouping context", a)
-}
-
-// String implements Expr.
-func (a Agg) String() string {
-	if a.Star {
-		return "COUNT(*)"
-	}
-	return fmt.Sprintf("%s(%s)", a.Fn, a.Arg)
-}
-
-// Parse parses a single SQL statement (a trailing semicolon is allowed).
-func Parse(sql string) (Statement, error) {
-	toks, err := lexSQL(sql)
+// Parse parses one SELECT statement (a trailing semicolon is allowed).
+func Parse(sql string) (SelectStmt, error) {
+	p, err := newParser(sql)
 	if err != nil {
-		return nil, err
+		return SelectStmt{}, err
 	}
-	p := &parser{toks: toks, src: sql}
-	st, err := p.parseStatement()
+	st, err := p.parseSelect()
 	if err != nil {
-		return nil, err
+		return SelectStmt{}, err
 	}
-	p.accept(tokPunct, ";")
-	if !p.at(tokEOF, "") {
-		return nil, p.errorf("trailing input starting with %q", p.peek().text)
+	return st, p.end()
+}
+
+// ParseCreateTable parses one CREATE TABLE statement (a trailing semicolon
+// is allowed).
+func ParseCreateTable(sql string) (CreateTableStmt, error) {
+	p, err := newParser(sql)
+	if err != nil {
+		return CreateTableStmt{}, err
 	}
-	return st, nil
+	st, err := p.parseCreate()
+	if err != nil {
+		return CreateTableStmt{}, err
+	}
+	return st, p.end()
 }
 
 type parser struct {
 	toks []token
 	i    int
-	src  string
+}
+
+func newParser(src string) (*parser, error) {
+	toks, err := lexSQL(src)
+	if err != nil {
+		return nil, err
+	}
+	return &parser{toks: toks}, nil
+}
+
+// end consumes an optional semicolon and requires the end of input.
+func (p *parser) end() error {
+	p.accept(tokPunct, ";")
+	if !p.at(tokEOF, "") {
+		return p.errorf("trailing input starting with %q", p.peek().text)
+	}
+	return nil
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -205,7 +132,15 @@ func (p *parser) next() token {
 // at reports whether the current token matches kind (and text for punct /
 // keyword matching; text is compared case-insensitively for idents).
 func (p *parser) at(kind tokenKind, text string) bool {
-	t := p.peek()
+	return p.atOffset(0, kind, text)
+}
+
+// atOffset is at for the token k places ahead.
+func (p *parser) atOffset(k int, kind tokenKind, text string) bool {
+	if p.i+k >= len(p.toks) {
+		return false
+	}
+	t := p.toks[p.i+k]
 	if t.kind != kind {
 		return false
 	}
@@ -251,72 +186,46 @@ func (p *parser) keyword(kw string) error {
 	return p.errorf("expected %s, found %q", strings.ToUpper(kw), p.peek().text)
 }
 
-func (p *parser) parseStatement() (Statement, error) {
-	switch {
-	case p.at(tokIdent, "create"):
-		return p.parseCreate()
-	case p.at(tokIdent, "drop"):
-		return p.parseDrop()
-	case p.at(tokIdent, "insert"):
-		return p.parseInsert()
-	case p.at(tokIdent, "select"):
-		return p.parseSelect()
-	case p.at(tokIdent, "update"):
-		return p.parseUpdate()
-	case p.at(tokIdent, "delete"):
-		return p.parseDelete()
-	default:
-		return nil, p.errorf("expected a statement, found %q", p.peek().text)
+func (p *parser) parseCreate() (CreateTableStmt, error) {
+	if err := p.keyword("create"); err != nil {
+		return CreateTableStmt{}, err
 	}
-}
-
-func (p *parser) parseCreate() (Statement, error) {
-	p.next() // CREATE
 	if err := p.keyword("table"); err != nil {
-		return nil, err
+		return CreateTableStmt{}, err
 	}
 	st := CreateTableStmt{}
-	if p.accept(tokIdent, "if") {
-		if err := p.keyword("not"); err != nil {
-			return nil, err
-		}
-		if err := p.keyword("exists"); err != nil {
-			return nil, err
-		}
-		st.IfNotExists = true
-	}
 	name, err := p.expect(tokIdent, "")
 	if err != nil {
-		return nil, err
+		return CreateTableStmt{}, err
 	}
 	st.Name = name.text
 	if _, err := p.expect(tokPunct, "("); err != nil {
-		return nil, err
+		return CreateTableStmt{}, err
 	}
 	for {
 		colName, err := p.expect(tokIdent, "")
 		if err != nil {
-			return nil, err
+			return CreateTableStmt{}, err
 		}
 		typeName, err := p.expect(tokIdent, "")
 		if err != nil {
-			return nil, err
+			return CreateTableStmt{}, err
 		}
 		ct, err := ParseColType(typeName.text)
 		if err != nil {
-			return nil, p.errorf("%v", err)
+			return CreateTableStmt{}, p.errorf("%v", err)
 		}
 		col := Column{Name: colName.text, Type: ct}
 		for {
 			switch {
 			case p.accept(tokIdent, "primary"):
 				if err := p.keyword("key"); err != nil {
-					return nil, err
+					return CreateTableStmt{}, err
 				}
 				col.PrimaryKey = true
 			case p.accept(tokIdent, "not"):
 				if err := p.keyword("null"); err != nil {
-					return nil, err
+					return CreateTableStmt{}, err
 				}
 				col.NotNull = true
 			default:
@@ -329,108 +238,34 @@ func (p *parser) parseCreate() (Statement, error) {
 			continue
 		}
 		if _, err := p.expect(tokPunct, ")"); err != nil {
-			return nil, err
+			return CreateTableStmt{}, err
 		}
 		break
 	}
 	return st, nil
 }
 
-func (p *parser) parseDrop() (Statement, error) {
-	p.next() // DROP
-	if err := p.keyword("table"); err != nil {
-		return nil, err
+func (p *parser) parseSelect() (SelectStmt, error) {
+	if err := p.keyword("select"); err != nil {
+		return SelectStmt{}, err
 	}
-	st := DropTableStmt{}
-	if p.accept(tokIdent, "if") {
-		if err := p.keyword("exists"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
+	if p.at(tokIdent, "distinct") {
+		return SelectStmt{}, &UnsupportedError{Construct: "DISTINCT"}
 	}
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	st.Name = name.text
-	return st, nil
-}
-
-func (p *parser) parseInsert() (Statement, error) {
-	p.next() // INSERT
-	if err := p.keyword("into"); err != nil {
-		return nil, err
-	}
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	st := InsertStmt{Table: name.text}
-	if p.accept(tokPunct, "(") {
-		for {
-			col, err := p.expect(tokIdent, "")
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, col.text)
-			if p.accept(tokPunct, ",") {
-				continue
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			break
-		}
-	}
-	if err := p.keyword("values"); err != nil {
-		return nil, err
-	}
-	for {
-		if _, err := p.expect(tokPunct, "("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.accept(tokPunct, ",") {
-				continue
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			break
-		}
-		st.Rows = append(st.Rows, row)
-		if !p.accept(tokPunct, ",") {
-			break
-		}
-	}
-	return st, nil
-}
-
-func (p *parser) parseSelect() (Statement, error) {
-	p.next() // SELECT
 	st := SelectStmt{Limit: -1}
-	if p.accept(tokIdent, "distinct") {
-		st.Distinct = true
-	}
 	for {
 		if p.accept(tokPunct, "*") {
 			st.Items = append(st.Items, SelectItem{Star: true})
 		} else {
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return SelectStmt{}, err
 			}
 			item := SelectItem{Expr: e}
 			if p.accept(tokIdent, "as") {
 				alias, err := p.expect(tokIdent, "")
 				if err != nil {
-					return nil, err
+					return SelectStmt{}, err
 				}
 				item.Alias = strings.ToLower(alias.text)
 			}
@@ -441,64 +276,37 @@ func (p *parser) parseSelect() (Statement, error) {
 		}
 	}
 	if err := p.keyword("from"); err != nil {
-		return nil, err
+		return SelectStmt{}, err
 	}
 	from, err := p.parseFromItem()
 	if err != nil {
-		return nil, err
+		return SelectStmt{}, err
 	}
 	st.From = from
-	for p.accept(tokIdent, "join") || (p.at(tokIdent, "inner") && p.acceptInnerJoin()) {
-		right, err := p.parseFromItem()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.keyword("on"); err != nil {
-			return nil, err
-		}
-		on, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Joins = append(st.Joins, JoinClause{Right: right, On: on})
+	if p.at(tokIdent, "join") || (p.at(tokIdent, "inner") && p.atOffset(1, tokIdent, "join")) {
+		return SelectStmt{}, &UnsupportedError{Construct: "JOIN"}
 	}
 	if p.accept(tokIdent, "where") {
 		w, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return SelectStmt{}, err
 		}
 		st.Where = w
 	}
-	if p.accept(tokIdent, "group") {
-		if err := p.keyword("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.GroupBy = append(st.GroupBy, e)
-			if !p.accept(tokPunct, ",") {
-				break
-			}
-		}
-	}
-	if p.accept(tokIdent, "having") {
-		h, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Having = h
+	switch {
+	case p.at(tokIdent, "group"):
+		return SelectStmt{}, &UnsupportedError{Construct: "GROUP BY"}
+	case p.at(tokIdent, "having"):
+		return SelectStmt{}, &UnsupportedError{Construct: "HAVING"}
 	}
 	if p.accept(tokIdent, "order") {
 		if err := p.keyword("by"); err != nil {
-			return nil, err
+			return SelectStmt{}, err
 		}
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return SelectStmt{}, err
 			}
 			item := OrderItem{Expr: e}
 			if p.accept(tokIdent, "desc") {
@@ -515,29 +323,18 @@ func (p *parser) parseSelect() (Statement, error) {
 	if p.accept(tokIdent, "limit") {
 		n, err := p.parseNonNegInt()
 		if err != nil {
-			return nil, err
+			return SelectStmt{}, err
 		}
 		st.Limit = n
 	}
 	if p.accept(tokIdent, "offset") {
 		n, err := p.parseNonNegInt()
 		if err != nil {
-			return nil, err
+			return SelectStmt{}, err
 		}
 		st.Offset = n
 	}
 	return st, nil
-}
-
-// acceptInnerJoin consumes "INNER JOIN" after at() saw INNER.
-func (p *parser) acceptInnerJoin() bool {
-	save := p.i
-	p.next() // INNER
-	if p.accept(tokIdent, "join") {
-		return true
-	}
-	p.i = save
-	return false
 }
 
 func (p *parser) parseNonNegInt() (int, error) {
@@ -576,69 +373,12 @@ func (p *parser) parseFromItem() (FromItem, error) {
 // atReserved reports whether the current identifier is a clause keyword that
 // must not be eaten as a table alias.
 func (p *parser) atReserved() bool {
-	for _, kw := range []string{"join", "inner", "on", "where", "group", "having", "order", "limit", "offset", "set", "values", "as"} {
+	for _, kw := range []string{"join", "inner", "where", "group", "having", "order", "limit", "offset"} {
 		if p.at(tokIdent, kw) {
 			return true
 		}
 	}
 	return false
-}
-
-func (p *parser) parseUpdate() (Statement, error) {
-	p.next() // UPDATE
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	st := UpdateStmt{Table: strings.ToLower(name.text)}
-	if err := p.keyword("set"); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, "="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Sets = append(st.Sets, SetClause{Col: strings.ToLower(col.text), Expr: e})
-		if !p.accept(tokPunct, ",") {
-			break
-		}
-	}
-	if p.accept(tokIdent, "where") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	return st, nil
-}
-
-func (p *parser) parseDelete() (Statement, error) {
-	p.next() // DELETE
-	if err := p.keyword("from"); err != nil {
-		return nil, err
-	}
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	st := DeleteStmt{Table: strings.ToLower(name.text)}
-	if p.accept(tokIdent, "where") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	return st, nil
 }
 
 // Expression grammar (highest binding last):
@@ -650,16 +390,18 @@ func (p *parser) parseDelete() (Statement, error) {
 //   additive := term ((+|-) term)*
 //   term     := unary ((*|/|%) unary)*
 //   unary    := - unary | primary
-//   primary  := literal | colref | agg | ( expr )
+//   primary  := literal | colref | ( expr )
+//
+// An aggregate call or a parenthesised SELECT where a primary belongs is
+// refused by name.
 
 // ParseExpr parses a standalone expression (for WHERE-style predicates
 // supplied programmatically).
 func ParseExpr(src string) (Expr, error) {
-	toks, err := lexSQL(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -756,18 +498,11 @@ func (p *parser) parsePredicate() (Expr, error) {
 		not := p.accept(tokIdent, "not")
 		switch {
 		case p.accept(tokIdent, "in"):
+			if p.atSubquery() {
+				return nil, &UnsupportedError{Construct: "(SELECT …)"}
+			}
 			if _, err := p.expect(tokPunct, "("); err != nil {
 				return nil, err
-			}
-			if p.at(tokIdent, "select") {
-				sub, err := p.parseSelect()
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(tokPunct, ")"); err != nil {
-					return nil, err
-				}
-				return InSubquery{Not: not, X: l, Query: sub.(SelectStmt)}, nil
 			}
 			var list []Expr
 			for {
@@ -884,9 +619,13 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-var aggNames = map[string]AggFn{
-	"count": AggCount, "sum": AggSum, "avg": AggAvg, "min": AggMin, "max": AggMax,
+// atSubquery reports whether a parenthesised SELECT starts at the cursor.
+func (p *parser) atSubquery() bool {
+	return p.at(tokPunct, "(") && p.atOffset(1, tokIdent, "select")
 }
+
+// aggregates are the function names refused when called.
+var aggregates = []string{"count", "sum", "avg", "min", "max"}
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
@@ -911,6 +650,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 		p.next()
 		return Literal{Text(t.text)}, nil
 	case tokPunct:
+		if p.atSubquery() {
+			return nil, &UnsupportedError{Construct: "(SELECT …)"}
+		}
 		if t.text == "(" {
 			p.next()
 			e, err := p.parseExpr()
@@ -935,35 +677,18 @@ func (p *parser) parsePrimary() (Expr, error) {
 			p.next()
 			return Literal{Bool(false)}, nil
 		}
-		if fn, isAgg := aggNames[lower]; isAgg && p.i+1 < len(p.toks) &&
-			p.toks[p.i+1].kind == tokPunct && p.toks[p.i+1].text == "(" {
-			p.next() // fn name
-			p.next() // (
-			if fn == AggCount && p.accept(tokPunct, "*") {
-				if _, err := p.expect(tokPunct, ")"); err != nil {
-					return nil, err
-				}
-				return Agg{Fn: AggCount, Star: true}, nil
-			}
-			arg, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			return Agg{Fn: fn, Arg: arg}, nil
+		if p.atOffset(1, tokPunct, "(") && slices.Contains(aggregates, lower) {
+			return nil, &UnsupportedError{Construct: strings.ToUpper(lower) + "(…)"}
 		}
 		p.next()
-		name := strings.ToLower(t.text)
 		if p.accept(tokPunct, ".") {
 			col, err := p.expect(tokIdent, "")
 			if err != nil {
 				return nil, err
 			}
-			return ColRef{Name: name + "." + strings.ToLower(col.text)}, nil
+			return ColRef{Name: lower + "." + strings.ToLower(col.text)}, nil
 		}
-		return ColRef{Name: name}, nil
+		return ColRef{Name: lower}, nil
 	}
 	return nil, p.errorf("expected an expression, found %q", t.text)
 }

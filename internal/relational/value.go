@@ -4,9 +4,11 @@
 // operates over — "the data table of private information T = {t_1 … t_n}"
 // of Sec. 4 — built from scratch on the standard library. It executes no
 // SQL itself: every SELECT runs through the per-datum enforced path in
-// internal/query, which uses the parser's full dialect (joins, grouping,
-// DISTINCT, subqueries, UPDATE/DELETE) only to recognise and refuse what
-// it cannot enforce.
+// internal/query. The parser reads exactly two statements, Parse for the
+// single-table SELECT that path runs and ParseCreateTable for snapshot
+// schema files. DISTINCT, JOIN, GROUP BY, HAVING, aggregate calls and
+// subqueries are refused by name (*UnsupportedError) without building a
+// tree; INSERT, UPDATE, DELETE and DROP are plain parse errors.
 package relational
 
 import (

@@ -471,6 +471,53 @@ func TestVerdictsAndBreakEven(t *testing.T) {
 	}
 }
 
+// TestEvaluateOfflineWorkedExample prices a hand-checkable expansion: three
+// providers under a research policy on weight, one granularity level wider.
+// tolerant stays within bounds, medium is violated but stays, tight is
+// violated and defaults — so ΔP(W) = 2/3, ΔP(Default) = 1/3, and losing one
+// of three providers at U = 10 breaks even at T = 10 (3/2 − 1) = 5 (Eq. 31).
+func TestEvaluateOfflineWorkedExample(t *testing.T) {
+	base := privacy.NewHousePolicy("base")
+	base.Add("weight", tup("research", 1, 1, 1))
+	wide := base.Widen("wide", "weight", privacy.DimGranularity, 1)
+	sigma := privacy.AttributeSensitivities{}
+	sigma.Set("weight", 4)
+	mk := func(name string, g privacy.Level, thresh float64, sens privacy.Sensitivity) *privacy.Prefs {
+		p := privacy.NewPrefs(name, thresh)
+		p.Add("weight", tup("research", 4, g, 5))
+		p.SetSensitivity("weight", sens)
+		return p
+	}
+	pop := []*privacy.Prefs{
+		mk("tolerant", 3, 1000, privacy.Sensitivity{Value: 1, Visibility: 1, Granularity: 1, Retention: 1}),
+		mk("tight", 1, 10, privacy.Sensitivity{Value: 3, Visibility: 1, Granularity: 5, Retention: 2}),
+		mk("medium", 1, 100, privacy.Sensitivity{Value: 1, Visibility: 1, Granularity: 2, Retention: 1}),
+	}
+	diff, err := whatif.DiffPolicies(base, wide, sigma, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := whatif.EvaluateOffline(base, sigma, core.Options{}, pop, &whatif.Request{Name: wide.Name, Diff: diff, U: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Current.PW != 0 {
+		t.Errorf("current PW = %g", resp.Current.PW)
+	}
+	if math.Abs(resp.DeltaPW-2.0/3.0) > 1e-12 {
+		t.Errorf("ΔPW = %g", resp.DeltaPW)
+	}
+	if math.Abs(resp.DeltaPDefault-1.0/3.0) > 1e-12 {
+		t.Errorf("ΔPDefault = %g", resp.DeltaPDefault)
+	}
+	if resp.BreakEvenT == nil || math.Abs(*resp.BreakEvenT-5) > 1e-12 {
+		t.Errorf("BreakEvenT = %v, want 5", resp.BreakEvenT)
+	}
+	if _, err := whatif.EvaluateOffline(nil, sigma, core.Options{}, pop, &whatif.Request{Diff: diff, U: 10}); err == nil {
+		t.Error("nil current policy should fail")
+	}
+}
+
 func TestBreakEvenOmittedWhenEveryoneDefaults(t *testing.T) {
 	// A tiny population of hair-trigger providers: any overshoot defaults
 	// them all, so NFuture = 0 and no finite T pays.
